@@ -170,7 +170,8 @@ class Simulation:
         self.sim = Simulator()
         self.metrics = Metrics()
         self.topology, self.flows = generate_topology(config, run_seed)
-        self.medium = Medium(self.sim, self.topology, self.metrics, trace=trace)
+        self.medium = Medium(self.sim, self.topology, self.metrics, trace=trace,
+                             phy=config.phy)
         self.stations = []
         self.sources = []
         use_token = config.protocol == "token_dcf"

@@ -30,7 +30,7 @@ class Station:
         "dst", "payload_bytes", "scheduler", "source",
         "queue", "cw", "retries", "phase",
         "pending_slots", "sifs_plan", "idle_since", "registered",
-        "_ack_timer", "_seq", "_subscribed", "_cont",
+        "_ack_timer", "_seq",
         "enqueued", "delivered", "dropped_full", "dropped_retry",
         "data_header_bytes", "ack_airtime",
     )
@@ -55,11 +55,9 @@ class Station:
         self.pending_slots = None   # None = fresh draw on next resume
         self.sifs_plan = False
         self.idle_since = 0
-        self.registered = False
+        self.registered = False     # access counting, or frozen in the group heap
         self._ack_timer = None
         self._seq = 0
-        self._subscribed = False
-        self._cont = medium._cont   # shared fire-time table (hot path)
         self.enqueued = 0
         self.delivered = 0
         self.dropped_full = 0
@@ -82,47 +80,41 @@ class Station:
             return DROPPED
         self.queue.append(self.sim.now)
         if self.phase == IDLE:
-            self._start_contention(fresh=True)
+            self._start_contention()
         return ACCEPTED
 
     # -- channel access ----------------------------------------------------
 
-    def _start_contention(self, fresh):
-        if not self._subscribed:
-            self.medium.subscribe(self.sid)
-            self._subscribed = True
+    def _start_contention(self):
         self.phase = WAITING
-        if fresh:
-            self.pending_slots = None
-        if not self.medium.sensed_busy(self.sid):
+        self.pending_slots = None
+        if self.medium.join(self.sid):
             self._resume_wait()
         # else: stay frozen until the idle edge arrives
 
     def _resume_wait(self):
-        now = self.sim.now
-        phy = self.phy
-        self.idle_since = now
+        """The channel is idle: plan the access and hand it to the medium."""
+        self.idle_since = self.sim.now
+        self.registered = True
         sched = self.scheduler
         if sched is not None and sched.flag:
             # privileged access: bare SIFS after the channel went idle
             self.sifs_plan = True
-            fire_at = now + phy.sifs
+            slots = None
         else:
             self.sifs_plan = False
             if self.pending_slots is None:
                 self.pending_slots = self.rng.randint(0, self.cw)
-            fire_at = now + phy.difs + self.pending_slots * phy.slot_time
-        self.registered = True
-        self._cont[self.sid] = fire_at
-        medium = self.medium
-        if fire_at < medium._wake_at:
-            medium._set_wake(fire_at)
+            slots = self.pending_slots
+        self.medium.register_access(self.sid, slots)
 
     def on_channel_busy(self):
-        if self.phase != WAITING or not self.registered:
-            return
+        """Busy edge of an access counted on its own fire time: freeze it.
+
+        Backoffs that count in their carrier-sense group's heap are frozen
+        by the medium without a call.
+        """
         self.registered = False
-        self._cont.pop(self.sid, None)
         if not self.sifs_plan:
             phy = self.phy
             elapsed = self.sim.now - self.idle_since
@@ -131,8 +123,8 @@ class Station:
                 self.pending_slots = max(self.pending_slots - consumed, 0)
 
     def on_channel_idle(self):
-        if self.phase == WAITING and not self.registered:
-            self._resume_wait()
+        """Idle edge after a busy-channel join, a freeze or a withdrawal."""
+        self._resume_wait()
 
     def fire_access(self):
         """Backoff/SIFS wait elapsed with the channel idle: transmit."""
@@ -174,6 +166,11 @@ class Station:
             return
         if self.scheduler is not None and frame.src != self.sid:
             self.scheduler.on_receive_data(frame)
+            if self.scheduler.flag and self.registered:
+                # granted while its backoff sits frozen in the group heap:
+                # plan a SIFS access at the idle edge, keeping the slots left
+                self.pending_slots = self.medium.withdraw_access(self.sid)
+                self.registered = False
         if frame.dst == self.sid:
             src = frame.src
             self.sim.schedule(self.phy.sifs, lambda: self._send_ack(src))
@@ -198,7 +195,7 @@ class Station:
         if self.source is not None:
             self.source.on_dequeue()
         if self.queue:
-            self._start_contention(fresh=True)
+            self._start_contention()
         else:
             self.phase = IDLE
 
@@ -216,6 +213,6 @@ class Station:
             if self.source is not None:
                 self.source.on_dequeue()
         if self.queue:
-            self._start_contention(fresh=True)
+            self._start_contention()
         else:
             self.phase = IDLE

@@ -6,13 +6,31 @@ within the receiver's cs_range overlapped the frame (any overlap corrupts,
 no capture effect).  A station that transmits itself during the overlap is
 corrupted too (half-duplex).  Propagation delay is zero.
 
-The medium also runs the contention clock for the MAC layers: stations that
-are waiting for the channel register an absolute fire time and the medium
-keeps a single wake-up event at the minimum, which is far cheaper than one
-timer per station under heavy freeze/resume churn.
+The medium also runs the contention clock for the MAC layers, kept per
+carrier-sense group: the contending stations that share one cs_set.  They
+see the same busy/idle edges (a waiting station never transmits, so its own
+frames do not matter), so a group keeps one busy count instead of one per
+station.  Backoffs that start counting together sit in the group's heap,
+keyed by slots left plus the group's consumed-slot offset.  The epoch is the
+instant the heap's members started counting idle time: the idle edge, or the
+join of the first member of an empty heap.  A busy edge adds the slots
+counted since the epoch, ``(t - epoch - DIFS) // slot``, to the offset, so
+freezing or resuming the whole heap costs O(1); a group with nobody waiting
+costs a count update per edge.  Two kinds of station count on their own
+absolute fire time instead ("solo"): a backoff that starts in the middle of
+the heap's idle period, and a SIFS-privileged access.  They are called back
+at each edge (``on_channel_busy``/``on_channel_idle``) and do their own slot
+arithmetic.  A station that joins while its channel is busy, or is granted
+privilege while frozen in the heap, is called back at the idle edge to plan
+its access.  One wake-up event sits at the earliest fire time over all group
+heads and solo stations, which is far cheaper than one timer per station.
 """
 
 import math
+from bisect import insort
+from heapq import heapify, heappop, heappush
+
+from .params import PhyParams
 
 DELIVERED = "delivered"
 CORRUPTED = "corrupted"
@@ -51,6 +69,33 @@ class Topology:
         d = self.distance(a, b)
         return d, d <= self.tx_range, d <= self.cs_range
 
+    def neighbor_tables(self):
+        """(tx_nb, cs_set) for every station.
+
+        tx_nb[a] lists the ids within tx_range of a in ascending order, a
+        excluded; cs_set[a] is the set of ids within cs_range, a included.
+        Each unordered pair's distance is computed once, as in ``distance``.
+        """
+        n = len(self.positions)
+        tx_range = self.tx_range
+        cs_range = self.cs_range
+        hypot = math.hypot
+        tx_nb = [[] for _ in range(n)]
+        cs_set = [{a} for a in range(n)]
+        for a, (xa, ya) in enumerate(self.positions):
+            nb_a = tx_nb[a]
+            cs_a = cs_set[a]
+            for b in range(a + 1, n):
+                xb, yb = self.positions[b]
+                d = hypot(xa - xb, ya - yb)
+                if d <= cs_range:
+                    cs_a.add(b)
+                    cs_set[b].add(a)
+                    if d <= tx_range:
+                        nb_a.append(b)
+                        tx_nb[b].append(a)
+        return tx_nb, cs_set
+
 
 class ActiveTransmission:
     __slots__ = ("src", "frame", "start", "end", "corrupted")
@@ -63,37 +108,36 @@ class ActiveTransmission:
         self.corrupted = set()   # receiver ids with a latched overlap
 
 
+class _Group:
+    """Contending stations with one cs_set and the backoffs they count together."""
+
+    __slots__ = ("busy", "epoch", "offset", "heap", "solo", "frozen")
+
+    def __init__(self, busy):
+        self.busy = busy      # active transmissions the members sense
+        self.epoch = 0        # when the heap's members started counting idle time
+        self.offset = 0       # slots consumed since the group was formed
+        self.heap = []        # (slots left + offset, sid): backoffs counting from epoch
+        self.solo = []        # sids counting on their own fire time (in Medium._solo)
+        self.frozen = []      # sids to call on_channel_idle() at the next idle edge
+
+
 class Medium:
-    def __init__(self, sim, topology, metrics=None, trace=None):
+    def __init__(self, sim, topology, metrics=None, trace=None, phy=None):
         self.sim = sim
         self.topology = topology
         self.metrics = metrics
         self.trace = trace       # list to append channel records to, or None
         n = len(topology)
-        self.n = n
+        phy = phy or PhyParams()   # contention timing: the stations' PhyParams
+        self._sifs = phy.sifs
+        self._difs = phy.difs
+        self._slot = phy.slot_time
         # precomputed geometry: per-source sorted neighbor lists and cs sets
-        self.tx_nb = []          # stations within tx_range, excluding src
-        self.cs_set = []         # stations within cs_range, including src
-        for a in range(n):
-            inside_tx = []
-            inside_cs = {a}
-            for b in range(n):
-                if b == a:
-                    continue
-                d = topology.distance(a, b)
-                if d <= topology.tx_range:
-                    inside_tx.append(b)
-                if d <= topology.cs_range:
-                    inside_cs.add(b)
-            self.tx_nb.append(inside_tx)
-            self.cs_set.append(inside_cs)
+        self.tx_nb, self.cs_set = topology.neighbor_tables()
 
         self.stations = {}       # sid -> station object, bound via bind()
         self._active = {}        # src -> ActiveTransmission
-        # carrier-sense subscribers (contending stations only)
-        self._subscribed = set()
-        self._busy_count = [0] * n
-        self._notify = [[] for _ in range(n)]   # per-src sorted subscriber lists
         # stations that want delivered data frames they are not addressed by
         self._listeners = set()
         self._overhear = [[] for _ in range(n)]  # per-src sorted listener lists
@@ -102,8 +146,12 @@ class Medium:
         self._busy_start = 0
         self._last_busy_end = 0
         self._last_gap = 0
-        # centralized contention clock
-        self._cont = {}          # sid -> absolute fire time
+        # contention clock: carrier-sense groups of contending stations
+        self._groups = {}                # frozenset(cs_set) -> _Group
+        self._group_of = [None] * n      # sid -> _Group once subscribed
+        self._hit = [[] for _ in range(n)]   # src -> groups that sense it
+        self._heads = {}         # idle group with a non-empty heap -> head fire time
+        self._solo = {}          # solo sid -> absolute fire time
         self._wake_entry = None
         self._wake_at = _INF
         self.tx_log = [] if trace is not None else None
@@ -115,28 +163,30 @@ class Medium:
             self.stations[st.sid] = st
 
     def subscribe(self, sid):
-        if sid in self._subscribed:
-            return
-        self._subscribed.add(sid)
-        self._busy_count[sid] = sum(
-            1 for tx in self._active.values() if sid in self.cs_set[tx.src] and tx.src != sid
-        )
-        for src in range(self.n):
-            if src != sid and sid in self.cs_set[src]:
-                lst = self._notify[src]
-                lst.append(sid)
-                lst.sort()
+        """Put a contending station into the carrier-sense group of its cs_set.
+
+        Returns the group.
+        """
+        if self._group_of[sid] is not None:
+            return self._group_of[sid]
+        cs = self.cs_set[sid]
+        key = frozenset(cs)
+        group = self._groups.get(key)
+        if group is None:
+            group = _Group(sum(1 for src in self._active if src in cs))
+            self._groups[key] = group
+            for src in cs:
+                self._hit[src].append(group)
+        self._group_of[sid] = group
+        return group
 
     def register_listener(self, sid):
         """Request delivery of every decodable data frame (overhearing)."""
         if sid in self._listeners:
             return
         self._listeners.add(sid)
-        for src in range(self.n):
-            if src != sid and self.topology.distance(src, sid) <= self.topology.tx_range:
-                lst = self._overhear[src]
-                lst.append(sid)
-                lst.sort()
+        for src in self.tx_nb[sid]:   # tx range is symmetric
+            insort(self._overhear[src], sid)
 
     # -- sensing ----------------------------------------------------------
 
@@ -147,19 +197,103 @@ class Medium:
     def is_transmitting(self, sid):
         return sid in self._active
 
-    def sensed_busy(self, sid):
-        """Busy as seen by a subscriber, ignoring its own transmission."""
-        return self._busy_count[sid] > 0
-
     # -- contention clock --------------------------------------------------
 
-    def register_access(self, sid, fire_at):
-        self._cont[sid] = fire_at
+    def join(self, sid):
+        """A station starts contending for the channel.
+
+        Returns True when its channel is idle: the station plans its access
+        now and calls ``register_access``.  Otherwise the station's
+        ``on_channel_idle()`` is called at the next idle edge.
+        """
+        group = self._group_of[sid] or self.subscribe(sid)
+        if group.busy:
+            group.frozen.append(sid)
+            return False
+        return True
+
+    def register_access(self, sid, slots):
+        """Start counting a waiting station's access on its idle channel.
+
+        ``slots`` is the backoff after DIFS, or None for a bare SIFS wait.
+        The station's ``fire_access()`` is called when the wait elapses with
+        the channel idle; a busy edge before that freezes the count.
+        """
+        group = self._group_of[sid]
+        now = self.sim.now
+        if slots is None:
+            fire_at = now + self._sifs
+            aligned = False
+        else:
+            fire_at = now + self._difs + slots * self._slot
+            aligned = group.epoch == now or not group.heap
+        if aligned:
+            group.epoch = now
+            heappush(group.heap, (slots + group.offset, sid))
+            self._heads[group] = self._head_time(group)
+        else:
+            self._solo[sid] = fire_at
+            group.solo.append(sid)
         if fire_at < self._wake_at:
             self._set_wake(fire_at)
 
-    def unregister_access(self, sid):
-        self._cont.pop(sid, None)
+    def withdraw_access(self, sid):
+        """Take a backoff out of its group's heap; returns the slots it had left.
+
+        Only while the group is busy, or while it hands out the frame that
+        ends its busy period, before its counts restart.  The station's
+        ``on_channel_idle()`` is called at the (next) idle edge.
+        """
+        group = self._group_of[sid]
+        if not group.busy and group.epoch != self.sim.now:
+            raise MediumError(f"station {sid}: withdrawal while its backoff counts")
+        heap = group.heap
+        for i, (key, member) in enumerate(heap):
+            if member == sid:
+                break
+        else:
+            raise MediumError(f"station {sid} has no backoff in its group heap")
+        heap[i] = heap[-1]
+        heap.pop()
+        heapify(heap)
+        if not heap:
+            self._heads.pop(group, None)
+        group.frozen.append(sid)
+        return max(key - group.offset, 0)
+
+    def _freeze(self, group, now):
+        """Busy edge of a group with waiters: stop every count in it."""
+        if group.heap:
+            counted = now - group.epoch - self._difs
+            if counted > 0:
+                group.offset += counted // self._slot
+            self._heads.pop(group, None)
+        if group.solo:
+            solo = self._solo
+            stations = self.stations
+            for sid in group.solo:
+                del solo[sid]
+                stations[sid].on_channel_busy()
+            group.frozen.extend(group.solo)
+            group.solo = []
+
+    def _resume(self, group):
+        """Idle edge of a group with waiters: restart every count in it."""
+        if group.frozen:
+            frozen = group.frozen
+            group.frozen = []
+            stations = self.stations
+            for sid in frozen:
+                stations[sid].on_channel_idle()
+        if group.heap:
+            head_at = self._head_time(group)
+            self._heads[group] = head_at
+            if head_at < self._wake_at:
+                self._set_wake(head_at)
+
+    def _head_time(self, group):
+        """Fire time of the first backoff in a group's heap, counted from its epoch."""
+        return group.epoch + self._difs + (group.heap[0][0] - group.offset) * self._slot
 
     def _set_wake(self, at):
         if self._wake_entry is not None:
@@ -171,16 +305,30 @@ class Medium:
         self._wake_entry = None
         self._wake_at = _INF
         now = self.sim.now
-        cont = self._cont
-        due = sorted(s for s, f in cont.items() if f <= now)
+        solo = self._solo
+        due = [sid for sid, at in solo.items() if at <= now] if solo else []
         for sid in due:
-            # all stations due at the same instant transmit together
-            # (slot-synchronized collision), even though the first handoff
-            # flips the channel busy for the rest
-            cont.pop(sid, None)
-            self.stations[sid].fire_access()
-        if cont:
-            nxt = min(cont.values())
+            del solo[sid]
+            self._group_of[sid].solo.remove(sid)
+        heads = self._heads
+        for group in [g for g, at in heads.items() if at <= now]:
+            heap = group.heap
+            counted = (now - group.epoch - self._difs) // self._slot
+            while heap and heap[0][0] - group.offset <= counted:
+                due.append(heappop(heap)[1])
+            if heap:
+                heads[group] = self._head_time(group)
+            else:
+                del heads[group]
+        # all stations due at the same instant transmit together
+        # (slot-synchronized collision), even though the first handoff
+        # flips the channel busy for the rest
+        due.sort()
+        stations = self.stations
+        for sid in due:
+            stations[sid].fire_access()
+        if heads or solo:
+            nxt = min(min(heads.values(), default=_INF), min(solo.values(), default=_INF))
             if nxt < self._wake_at:
                 self._set_wake(nxt)
 
@@ -196,16 +344,12 @@ class Medium:
         cs_set = self.cs_set
         if self._active:
             my_cs = cs_set[src]
+            my_nb = self.tx_nb[src]
             for other in self._active.values():
                 if other.end <= now:
                     continue
-                ocs = cs_set[other.src]
-                for r in self.tx_nb[src]:
-                    if r in ocs:
-                        tx.corrupted.add(r)
-                for r in self.tx_nb[other.src]:
-                    if r in my_cs:
-                        other.corrupted.add(r)
+                tx.corrupted.update(cs_set[other.src].intersection(my_nb))
+                other.corrupted.update(my_cs.intersection(self.tx_nb[other.src]))
         self._active[src] = tx
 
         # channel-wide idle gap: logged per access that begins a busy period
@@ -219,16 +363,13 @@ class Medium:
             self.metrics.idle_gaps.append(self._last_gap)
         self._global_active += 1
 
-        counts = self._busy_count
-        newly_busy = []
-        for s in self._notify[src]:
-            c = counts[s] + 1
-            counts[s] = c
-            if c == 1:
-                newly_busy.append(s)
-        stations = self.stations
-        for s in newly_busy:
-            stations[s].on_channel_busy()
+        for group in self._hit[src]:
+            if group.busy:
+                group.busy += 1
+            else:
+                group.busy = 1
+                if group.heap or group.solo:
+                    self._freeze(group, now)
 
         self.sim.schedule(airtime, lambda: self._finish(tx))
         if self.trace is not None:
@@ -246,13 +387,16 @@ class Medium:
                 self.metrics.busy_time += now - self._busy_start
             self._last_busy_end = now
 
-        counts = self._busy_count
+        # groups that go idle restart their counts once the frame is handed
+        # out, so a station that starts contending on it sees an idle channel
         newly_idle = []
-        for s in self._notify[src]:
-            c = counts[s] - 1
-            counts[s] = c
-            if c == 0:
-                newly_idle.append(s)
+        for group in self._hit[src]:
+            c = group.busy - 1
+            group.busy = c
+            if not c:
+                group.epoch = now
+                if group.heap or group.frozen:
+                    newly_idle.append(group)
 
         frame = tx.frame
         stations = self.stations
@@ -279,8 +423,8 @@ class Medium:
             self.trace.append((now, "end", src, frame.kind, tuple(sorted(delivered_to or ()))))
 
         stations[src].on_tx_complete(frame)
-        for s in newly_idle:
-            stations[s].on_channel_idle()
+        for group in newly_idle:
+            self._resume(group)
 
     def reception_outcome(self, tx, r):
         """Post-hoc outcome of transmission ``tx`` at station ``r``."""

@@ -65,7 +65,6 @@ class ParetoOnOffSource:
         self.owed = self.delta_us       # on-time still needed before next packet
         self.anchor = 0                 # when `owed` was last measured (on phase)
         self.phase_end = 0
-        self.arrivals = 0
         station.source = self
 
     def start(self):
@@ -94,7 +93,6 @@ class ParetoOnOffSource:
             self.sim.schedule(delay, self._arrival)
 
     def _arrival(self):
-        self.arrivals += 1
         self.station.enqueue_packet()
         self.owed = self.delta_us
         self.anchor = self.sim.now

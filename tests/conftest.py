@@ -23,7 +23,7 @@ class Network:
                                  cs_range=self.phy.cs_range)
         self.trace = [] if trace else None
         self.medium = Medium(self.sim, self.topology, self.metrics,
-                             trace=self.trace)
+                             trace=self.trace, phy=self.phy)
         dsts = dict(flows)
         self.stations = []
         for sid in range(len(positions)):

@@ -2,14 +2,55 @@
 
 import pytest
 
-from tokendcf import DATA, ACK, MacParams, frame_airtime
+from tokendcf import DATA, ACK, MacFrame, MacParams, frame_airtime
 from tokendcf.mac import ACCEPTED, DROPPED, IDLE, WAITING, AWAIT_ACK
 
-from conftest import Network
+from conftest import Network, Recorder
 
 
 def single_flow(**kwargs):
     return Network([(0.0, 0.0), (100.0, 0.0)], [(0, 1)], **kwargs)
+
+
+# -- stations with a known backoff ------------------------------------------
+#
+# The tests below drive the real bookkeeping: a station draws a known
+# backoff, a noise burst from station 4 freezes it, and the instant of its
+# first transmission shows the slots it had left.
+
+class Draws:
+    """Backoff stream stub: hands out the given slot counts in order."""
+
+    def __init__(self, *slots):
+        self.slots = list(slots)
+
+    def randint(self, lo, hi):
+        return self.slots.pop(0)
+
+
+def contenders(protocol="dcf"):
+    """0 -> 1 and 2 -> 3 in one clique; station 4 only makes noise."""
+    positions = [(0.0, 0.0), (100.0, 0.0), (0.0, 50.0), (100.0, 50.0), (50.0, 25.0)]
+    net = Network(positions, [(0, 1), (2, 3)], protocol=protocol, trace=True)
+    net.medium.bind([Recorder(4, net.sim)])
+    return net
+
+
+def join_at(net, sid, t, *slots):
+    st = net.stations[sid]
+    st.rng = Draws(*slots)
+    net.sim.schedule(t, st.enqueue_packet)
+    return st
+
+
+def noise_at(net, t, airtime, privileged=None):
+    """A data frame from station 4 to itself: busy channel, no ACK."""
+    frame = MacFrame(DATA, 4, 4, payload_bytes=1, privileged=privileged, q_len=1)
+    net.sim.schedule(t, lambda: net.medium.begin_transmission(4, frame, airtime))
+
+
+def first_tx(net, sid):
+    return next(t for t, kind, src, *_ in net.trace if kind == "tx" and src == sid)
 
 
 # -- queueing ---------------------------------------------------------------
@@ -26,64 +67,100 @@ def test_queue_accepts_up_to_capacity_then_drops():
 
 
 def test_first_enqueue_on_idle_medium_starts_contention():
-    net = single_flow()
+    net = single_flow(trace=True)
     st = net.stations[0]
+    st.rng = Draws(3)
     assert st.phase == IDLE
     st.enqueue_packet()
     assert st.phase == WAITING
-    assert st.sid in net.medium._cont
+    assert st.registered
+    net.run(1000)
+    assert first_tx(net, 0) == 28 + 3 * 9
 
 
 # -- backoff freeze/resume arithmetic ---------------------------------------
+#
+# "heap" runs count in the carrier-sense group's heap (station 0 joins an
+# empty one); "solo" runs count on their own fire time (station 2 has
+# waited in the same group since t=0).
+
+def both_modes():
+    """A fresh network per mode; in "solo" station 2 waits from t=0."""
+    for mode in ("heap", "solo"):
+        net = contenders()
+        if mode == "solo":
+            join_at(net, 2, 0, 1000)
+        yield net
+
 
 def test_freeze_preserves_remaining_slots():
-    net = single_flow()
-    st = net.stations[0]
-    st.phase = WAITING
-    st.registered = True
-    st.sifs_plan = False
-    st.idle_since = 1000
-    st.pending_slots = 5
-    # busy edge arrives mid-count: DIFS + 2 full slots + 3 us elapsed
-    net.sim.now = 1000 + 28 + 2 * 9 + 3
-    st.on_channel_busy()
-    assert st.pending_slots == 3
+    for net in both_modes():
+        st = join_at(net, 0, 1000, 5, 99)
+        # busy edge arrives mid-count: DIFS + 2 full slots + 3 us elapsed
+        busy_at = 1000 + 28 + 2 * 9 + 3
+        noise_at(net, busy_at, 100)
+        net.run(3000)
+        assert first_tx(net, 0) == busy_at + 100 + 28 + 3 * 9
+        assert st.rng.slots == [99]
 
 
 def test_busy_before_difs_elapses_consumes_nothing():
-    net = single_flow()
-    st = net.stations[0]
-    st.phase = WAITING
-    st.registered = True
-    st.sifs_plan = False
-    st.idle_since = 1000
-    st.pending_slots = 5
-    net.sim.now = 1010   # only 10 us of idle, less than DIFS
-    st.on_channel_busy()
-    assert st.pending_slots == 5
+    for net in both_modes():
+        join_at(net, 0, 1000, 5)
+        noise_at(net, 1010, 100)   # only 10 us of idle, less than DIFS
+        net.run(3000)
+        assert first_tx(net, 0) == 1010 + 100 + 28 + 5 * 9
 
 
 def test_slots_never_go_negative():
-    net = single_flow()
-    st = net.stations[0]
-    st.phase = WAITING
-    st.registered = True
-    st.sifs_plan = False
-    st.idle_since = 0
-    st.pending_slots = 2
-    net.sim.now = 28 + 50 * 9   # far more idle than the pending count
-    st.on_channel_busy()
-    assert st.pending_slots == 0
+    for net in both_modes():
+        # the burst starts at the very instant the count runs out, ahead of
+        # the access: the station resumes with zero slots, a bare DIFS
+        # after the idle edge
+        busy_at = 1000 + 28 + 2 * 9
+        noise_at(net, busy_at, 100)
+        join_at(net, 0, 1000, 2)
+        net.run(3000)
+        assert first_tx(net, 0) == busy_at + 100 + 28
 
 
 def test_resume_uses_remaining_slots_not_fresh_draw():
-    net = single_flow()
-    st = net.stations[0]
-    st.phase = WAITING
-    st.pending_slots = 4
-    net.sim.now = 5000
-    st._resume_wait()
-    assert net.medium._cont[st.sid] == 5000 + 28 + 4 * 9
+    for net in both_modes():
+        st = join_at(net, 0, 5000, 4, 30)
+        noise_at(net, 5010, 100)
+        net.run(8000)
+        assert first_tx(net, 0) == 5010 + 100 + 28 + 4 * 9
+        assert st.rng.slots == [30]
+
+
+def test_mid_idle_joiner_counts_its_own_idle_time():
+    net = contenders()
+    join_at(net, 2, 0, 30)       # counts from t=0: fires at 298 if undisturbed
+    join_at(net, 0, 100, 10)     # counts from t=100: fires at 218 if undisturbed
+    noise_at(net, 150, 50)
+    net.run(3000)
+    # 0 counted (150 - 100 - 28) // 9 = 2 slots before the burst, not the
+    # group's (150 - 28) // 9 = 13, and resumes with 8 at the idle edge
+    assert first_tx(net, 0) == 200 + 28 + 8 * 9
+
+
+@pytest.mark.parametrize("cleared", [False, True])
+def test_grant_to_frozen_heap_backoff(cleared):
+    net = contenders(protocol="token_dcf")
+    st = join_at(net, 0, 0, 20, 99)
+    # an overheard frame naming 0 arrives while its backoff is frozen in
+    # the heap: (100 - 28) // 9 = 8 slots counted, 12 left
+    noise_at(net, 100, 50, privileged=0)
+    if cleared:
+        # the SIFS wait is cut short, and the next frame names nobody
+        noise_at(net, 155, 50)
+        net.run(3000)
+        assert first_tx(net, 0) == 205 + 28 + 12 * 9
+        assert st.rng.slots == [99]
+    else:
+        net.run(3000)
+        assert first_tx(net, 0) == 150 + 10
+        assert st.sifs_plan
 
 
 # -- contention window ladder -----------------------------------------------

@@ -71,12 +71,21 @@ def test_carrier_busy_at_540m_not_at_560m():
 
 
 def test_subscriber_gets_busy_and_idle_edges():
-    sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0)])
-    medium.subscribe(1)
+    # 1 counts a SIFS wait from t=45 on its own fire time: it is frozen by
+    # the busy edge and called back at the idle edge; 2 joins while the
+    # channel is busy and hears only the idle edge
+    sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
+    sim.schedule(45, lambda: medium.join(1) and medium.register_access(1, None))
     sim.schedule(50, lambda: medium.begin_transmission(0, data(0, 1), 96))
+    sim.schedule(60, lambda: medium.join(2))
     sim.run_until(500)
-    edges = [(t, kind) for t, kind, _ in recorders[1].events if kind in ("busy", "idle")]
-    assert edges == [(50, "busy"), (146, "idle")]
+
+    def edges(sid):
+        return [(t, kind) for t, kind, _ in recorders[sid].events if kind in ("busy", "idle")]
+
+    assert edges(1) == [(50, "busy"), (146, "idle")]
+    assert edges(2) == [(146, "idle")]
+    assert not any(kind == "fire" for _, kind, _ in recorders[1].events)
 
 
 # -- delivery and corruption ------------------------------------------------
