@@ -129,7 +129,8 @@ class Medium:
         self.metrics = metrics
         self.trace = trace       # list to append channel records to, or None
         n = len(topology)
-        phy = phy or PhyParams()   # contention timing: the stations' PhyParams
+        phy = phy or PhyParams()   # contention timing; bind() checks the stations use it
+        self.phy = phy
         self._sifs = phy.sifs
         self._difs = phy.difs
         self._slot = phy.slot_time
@@ -160,6 +161,8 @@ class Medium:
 
     def bind(self, stations):
         for st in stations:
+            if getattr(st, "phy", self.phy) != self.phy:
+                raise MediumError(f"station {st.sid} uses other PHY timing than the medium")
             self.stations[st.sid] = st
 
     def subscribe(self, sid):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokendcf import ACK, DATA, MacFrame, Medium, Metrics, Simulator, Topology
+from tokendcf import (ACK, DATA, MacFrame, MacParams, Medium, Metrics, PhyParams,
+                      Simulator, Station, Topology)
 from tokendcf.medium import CORRUPTED, DELIVERED, NOT_DECODABLE, MediumError
 
 from conftest import Recorder
@@ -54,6 +55,14 @@ def test_link_geometry_symmetric(positions):
     for a in range(len(positions)):
         for b in range(len(positions)):
             assert topo.link_geometry(a, b) == topo.link_geometry(b, a)
+
+
+def test_bind_rejects_station_with_other_phy_timing():
+    sim = Simulator()
+    medium = Medium(sim, Topology([(0.0, 0.0), (100.0, 0.0)]))
+    st = Station(0, sim, medium, PhyParams(slot_time=20), MacParams(), Metrics())
+    with pytest.raises(MediumError):
+        medium.bind([st])
 
 
 # -- carrier sensing --------------------------------------------------------
