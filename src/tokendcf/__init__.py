@@ -7,8 +7,8 @@ from .experiments import (ScenarioConfig, Simulation, generate_topology,
                           simulate_run)
 from .frames import ACK, DATA, MacFrame, frame_airtime
 from .mac import Station
-from .medium import Medium, Topology
-from .metrics import Metrics, MetricsReport, efficiency, summarize
+from .medium import Medium
+from .metrics import Metrics, MetricsReport, summarize
 from .params import ConfigError, MacParams, PhyParams, TokenParams
 from .token import TokenScheduler
 from .traffic import FullBufferSource, ParetoOnOffSource, TrafficSpec
@@ -20,8 +20,8 @@ __all__ = [
     "ScenarioConfig", "Simulation", "generate_topology", "parse_config",
     "load_config", "run_scenario", "run_sweep", "simulate_run",
     "DATA", "ACK", "MacFrame", "frame_airtime",
-    "Station", "Medium", "Topology",
-    "Metrics", "MetricsReport", "summarize", "efficiency",
+    "Station", "Medium",
+    "Metrics", "MetricsReport", "summarize",
     "PhyParams", "MacParams", "TokenParams", "ConfigError",
     "TokenScheduler", "TrafficSpec", "FullBufferSource", "ParetoOnOffSource",
 ]

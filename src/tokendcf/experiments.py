@@ -9,13 +9,16 @@ from dataclasses import dataclass, field
 
 from .core import Simulator, derive_seed, substream
 from .mac import Station
-from .medium import Medium, Topology
+from .medium import Medium
 from .metrics import Metrics, summarize
 from .params import ConfigError, MacParams, PhyParams, TokenParams
 from .token import TokenScheduler
 from .traffic import FULL_BUFFER, PARETO_ON_OFF, TrafficSpec, make_source
 
 PROTOCOLS = ("dcf", "token_dcf")
+# Grant policies.  Every link runs at phy.bit_rate, so the backpressure weight
+# queue x rate is a positive multiple of the queue and picks what LQF picks:
+# both names run the same longest-queue-first scheduler.
 POLICIES = ("lqf", "backpressure")
 
 SINGLE_HOP_OFFSET = 100.0   # receiver sits 100 m east of its transmitter, wrapped
@@ -139,7 +142,7 @@ def load_config(path):
 # -- topology --------------------------------------------------------------
 
 def generate_topology(config, run_seed):
-    """Transmitter/receiver placement for one run.
+    """(positions, flows) for one run.
 
     Transmitters (ids 0..n-1) go uniformly at random in the square;
     receiver i (id n+i) sits at ((x + 100) mod d, y).  Flows are single hop:
@@ -153,10 +156,8 @@ def generate_topology(config, run_seed):
         positions.append((rng.uniform(0.0, d), rng.uniform(0.0, d)))
     for x, y in list(positions):
         positions.append(((x + SINGLE_HOP_OFFSET) % d, y))
-    topo = Topology(positions, tx_range=config.phy.tx_range,
-                    cs_range=config.phy.cs_range, area_side=d)
     flows = [(i, n + i) for i in range(n)]
-    return topo, flows
+    return positions, flows
 
 
 # -- running ---------------------------------------------------------------
@@ -169,8 +170,8 @@ class Simulation:
         self.run_seed = run_seed
         self.sim = Simulator()
         self.metrics = Metrics()
-        self.topology, self.flows = generate_topology(config, run_seed)
-        self.medium = Medium(self.sim, self.topology, self.metrics, trace=trace,
+        self.positions, self.flows = generate_topology(config, run_seed)
+        self.medium = Medium(self.sim, self.positions, self.metrics, trace=trace,
                              phy=config.phy)
         self.stations = []
         self.sources = []
@@ -179,12 +180,8 @@ class Simulation:
         for tx_id, rx_id in self.flows:
             scheduler = None
             if use_token:
-                scheduler = TokenScheduler(
-                    tx_id, self.sim, config.token,
-                    substream(run_seed, tx_id, "sched"),
-                    policy=config.policy,
-                    default_capacity=config.phy.bit_rate,
-                )
+                scheduler = TokenScheduler(tx_id, self.sim, config.token,
+                                           substream(run_seed, tx_id, "sched"))
             st = Station(
                 tx_id, self.sim, self.medium, config.phy, config.mac, self.metrics,
                 rng=substream(run_seed, tx_id, "backoff"),
@@ -231,10 +228,6 @@ class ResultRow:
     pkt_size: int
     reports: list
     averages: dict
-
-    @property
-    def throughput_bps(self):
-        return self.averages["throughput_bps"]
 
 
 def _average(reports):
@@ -314,12 +307,6 @@ def _fmt(value):
     if isinstance(value, float):
         return repr(value)
     return value
-
-
-def read_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return list(reader)
 
 
 def write_plot_data(out_dir, param, value_rows):

@@ -151,8 +151,6 @@ class Station:
             self.phase = AWAIT_ACK
             timeout = self.phy.sifs + self.ack_airtime + self.mac.ack_timeout_guard
             self._ack_timer = self.sim.schedule(timeout, self._ack_timeout)
-        else:
-            self.phase = IDLE
 
     # -- reception ---------------------------------------------------------
 
@@ -176,10 +174,11 @@ class Station:
             self.sim.schedule(self.phy.sifs, lambda: self._send_ack(src))
 
     def _send_ack(self, dst):
+        # ``phase`` tracks the station's own data and is left alone here: a
+        # station that sends and receives may be waiting or awaiting its ACK
         if self.medium.is_transmitting(self.sid):   # half-duplex guard
             return
         frame = MacFrame(ACK, self.sid, dst)
-        self.phase = TRANSMITTING
         self.medium.begin_transmission(self.sid, frame, self.ack_airtime)
 
     def _ack_received(self):

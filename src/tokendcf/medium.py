@@ -32,10 +32,6 @@ from heapq import heapify, heappop, heappush
 
 from .params import PhyParams
 
-DELIVERED = "delivered"
-CORRUPTED = "corrupted"
-NOT_DECODABLE = "not_decodable"
-
 _INF = float("inf")
 
 
@@ -43,58 +39,30 @@ class MediumError(Exception):
     pass
 
 
-class Topology:
-    """Station positions plus the fixed transmission/carrier-sense radii."""
+def neighbor_tables(positions, tx_range, cs_range):
+    """(tx_nb, cs_set) for stations at ``positions``, a list of (x, y) in m.
 
-    def __init__(self, positions, tx_range=250.0, cs_range=550.0, area_side=None):
-        if tx_range <= 0 or cs_range <= 0:
-            raise MediumError("ranges must be positive")
-        if tx_range > cs_range:
-            raise MediumError("tx_range must not exceed cs_range")
-        self.positions = list(positions)
-        self.tx_range = float(tx_range)
-        self.cs_range = float(cs_range)
-        self.area_side = area_side
-
-    def __len__(self):
-        return len(self.positions)
-
-    def distance(self, a, b):
-        xa, ya = self.positions[a]
-        xb, yb = self.positions[b]
-        return math.hypot(xa - xb, ya - yb)
-
-    def link_geometry(self, a, b):
-        """(distance, in_tx_range, in_cs_range); range tests are inclusive."""
-        d = self.distance(a, b)
-        return d, d <= self.tx_range, d <= self.cs_range
-
-    def neighbor_tables(self):
-        """(tx_nb, cs_set) for every station.
-
-        tx_nb[a] lists the ids within tx_range of a in ascending order, a
-        excluded; cs_set[a] is the set of ids within cs_range, a included.
-        Each unordered pair's distance is computed once, as in ``distance``.
-        """
-        n = len(self.positions)
-        tx_range = self.tx_range
-        cs_range = self.cs_range
-        hypot = math.hypot
-        tx_nb = [[] for _ in range(n)]
-        cs_set = [{a} for a in range(n)]
-        for a, (xa, ya) in enumerate(self.positions):
-            nb_a = tx_nb[a]
-            cs_a = cs_set[a]
-            for b in range(a + 1, n):
-                xb, yb = self.positions[b]
-                d = hypot(xa - xb, ya - yb)
-                if d <= cs_range:
-                    cs_a.add(b)
-                    cs_set[b].add(a)
-                    if d <= tx_range:
-                        nb_a.append(b)
-                        tx_nb[b].append(a)
-        return tx_nb, cs_set
+    tx_nb[a] lists the ids within tx_range of a in ascending order, a
+    excluded; cs_set[a] is the set of ids within cs_range, a included.  Range
+    tests are inclusive, and each unordered pair's distance is computed once.
+    """
+    n = len(positions)
+    hypot = math.hypot
+    tx_nb = [[] for _ in range(n)]
+    cs_set = [{a} for a in range(n)]
+    for a, (xa, ya) in enumerate(positions):
+        nb_a = tx_nb[a]
+        cs_a = cs_set[a]
+        for b in range(a + 1, n):
+            xb, yb = positions[b]
+            d = hypot(xa - xb, ya - yb)
+            if d <= cs_range:
+                cs_a.add(b)
+                cs_set[b].add(a)
+                if d <= tx_range:
+                    nb_a.append(b)
+                    tx_nb[b].append(a)
+    return tx_nb, cs_set
 
 
 class ActiveTransmission:
@@ -123,19 +91,18 @@ class _Group:
 
 
 class Medium:
-    def __init__(self, sim, topology, metrics=None, trace=None, phy=None):
+    def __init__(self, sim, positions, metrics=None, trace=None, phy=None):
         self.sim = sim
-        self.topology = topology
         self.metrics = metrics
         self.trace = trace       # list to append channel records to, or None
-        n = len(topology)
-        phy = phy or PhyParams()   # contention timing; bind() checks the stations use it
+        n = len(positions)
+        phy = phy or PhyParams()   # radii and timing; bind() checks the stations use it
         self.phy = phy
         self._sifs = phy.sifs
         self._difs = phy.difs
         self._slot = phy.slot_time
         # precomputed geometry: per-source sorted neighbor lists and cs sets
-        self.tx_nb, self.cs_set = topology.neighbor_tables()
+        self.tx_nb, self.cs_set = neighbor_tables(positions, phy.tx_range, phy.cs_range)
 
         self.stations = {}       # sid -> station object, bound via bind()
         self._active = {}        # src -> ActiveTransmission
@@ -192,10 +159,6 @@ class Medium:
             insort(self._overhear[src], sid)
 
     # -- sensing ----------------------------------------------------------
-
-    def carrier_busy(self, sid):
-        cs = self.cs_set
-        return any(sid in cs[tx.src] for tx in self._active.values())
 
     def is_transmitting(self, sid):
         return sid in self._active
@@ -300,7 +263,7 @@ class Medium:
 
     def _set_wake(self, at):
         if self._wake_entry is not None:
-            self._wake_entry[2] = None   # cancel in place
+            self.sim.cancel(self._wake_entry)
         self._wake_at = at
         self._wake_entry = self.sim.schedule(at - self.sim.now, self._wake)
 
@@ -428,11 +391,3 @@ class Medium:
         stations[src].on_tx_complete(frame)
         for group in newly_idle:
             self._resume(group)
-
-    def reception_outcome(self, tx, r):
-        """Post-hoc outcome of transmission ``tx`` at station ``r``."""
-        if r == tx.src:
-            raise MediumError("source does not receive its own frame")
-        if self.topology.distance(tx.src, r) > self.topology.tx_range:
-            return NOT_DECODABLE
-        return CORRUPTED if r in tx.corrupted else DELIVERED

@@ -49,11 +49,3 @@ def summarize(metrics, horizon_us, slot_time=9):
         busy_time_us=metrics.busy_time,
     )
 
-
-def efficiency(t_tr, t_oh):
-    """Useful-transfer fraction of channel time: t_tr / (t_oh + t_tr)."""
-    if t_tr <= 0:
-        raise ValueError("t_tr must be positive")
-    if t_oh < 0:
-        raise ValueError("t_oh must be non-negative")
-    return t_tr / (t_oh + t_tr)

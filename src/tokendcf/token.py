@@ -2,7 +2,8 @@
 
 Every data frame a station sends names at most one privileged station (drawn
 with probability p from the stations whose frames it decoded this period,
-picking the longest queue or the largest queue*capacity product).  Decoding a
+picking the longest queue).  Every link runs at one bit rate, so single-hop
+backpressure, which weighs queue length by link rate, picks the same station.  Decoding a
 frame that names you sets your flag, and a set flag turns the next channel
 access into a bare SIFS wait.  The Adapt controller moves p up or down by
 delta depending on how many transmissions came from already-known stations.
@@ -11,21 +12,15 @@ delta depending on how many transmissions came from already-known stations.
 
 class TokenScheduler:
     __slots__ = (
-        "sid", "sim", "params", "rng", "policy", "capacities", "default_capacity",
+        "sid", "sim", "params", "rng",
         "p", "active", "success", "fail", "flag", "q_len_map",
     )
 
-    def __init__(self, sid, sim, params, rng, policy="lqf",
-                 capacities=None, default_capacity=54_000_000):
-        if policy not in ("lqf", "backpressure"):
-            raise ValueError(f"unknown scheduling policy: {policy}")
+    def __init__(self, sid, sim, params, rng):
         self.sid = sid
         self.sim = sim
         self.params = params
         self.rng = rng
-        self.policy = policy
-        self.capacities = capacities or {}
-        self.default_capacity = default_capacity
         self.flag = 0
         self.q_len_map = {}
         self.p = 0.0
@@ -46,26 +41,17 @@ class TokenScheduler:
     def select_privileged(self, own_queue_len):
         """Privileged station for the next transmission, or None.
 
-        With probability p: the argmax over ``active`` of queue length (lqf)
-        or queue length * link capacity (backpressure), ties to the lowest
-        station id.  With probability 1-p: no grant.
+        With probability p: the argmax over ``active`` of queue length, ties
+        to the lowest station id.  With probability 1-p: no grant.
         """
         if self.rng.random() >= self.p:
             return None
         best = None
         best_w = -1.0
-        if self.policy == "lqf":
-            for s in sorted(self.active):
-                w = own_queue_len if s == self.sid else self.q_len_map.get(s, 0)
-                if w > best_w:
-                    best, best_w = s, w
-        else:
-            caps = self.capacities
-            for s in sorted(self.active):
-                q = own_queue_len if s == self.sid else self.q_len_map.get(s, 0)
-                w = q * caps.get(s, self.default_capacity)
-                if w > best_w:
-                    best, best_w = s, w
+        for s in sorted(self.active):
+            w = own_queue_len if s == self.sid else self.q_len_map.get(s, 0)
+            if w > best_w:
+                best, best_w = s, w
         return best
 
     # -- MAC hooks ---------------------------------------------------------

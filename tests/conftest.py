@@ -3,8 +3,7 @@
 import pytest
 
 from tokendcf import (MacParams, Medium, Metrics, PhyParams, Simulator,
-                      Station, TokenParams, TokenScheduler, Topology,
-                      substream)
+                      Station, TokenParams, TokenScheduler, substream)
 from tokendcf.traffic import FullBufferSource
 
 
@@ -12,17 +11,14 @@ class Network:
     """A fully wired simulation over hand-placed stations."""
 
     def __init__(self, positions, flows, protocol="dcf", payload=500,
-                 phy=None, mac=None, token=None, policy="lqf", seed=1,
-                 trace=False):
+                 phy=None, mac=None, token=None, seed=1, trace=False):
         self.sim = Simulator()
         self.metrics = Metrics()
         self.phy = phy or PhyParams()
         self.mac = mac or MacParams()
         self.token = token or TokenParams()
-        self.topology = Topology(positions, tx_range=self.phy.tx_range,
-                                 cs_range=self.phy.cs_range)
         self.trace = [] if trace else None
-        self.medium = Medium(self.sim, self.topology, self.metrics,
+        self.medium = Medium(self.sim, positions, self.metrics,
                              trace=self.trace, phy=self.phy)
         dsts = dict(flows)
         self.stations = []
@@ -30,10 +26,8 @@ class Network:
             if sid in dsts:
                 scheduler = None
                 if protocol == "token_dcf":
-                    scheduler = TokenScheduler(
-                        sid, self.sim, self.token,
-                        substream(seed, sid, "sched"), policy=policy,
-                        default_capacity=self.phy.bit_rate)
+                    scheduler = TokenScheduler(sid, self.sim, self.token,
+                                               substream(seed, sid, "sched"))
                 st = Station(sid, self.sim, self.medium, self.phy, self.mac,
                              self.metrics, rng=substream(seed, sid, "backoff"),
                              dst=dsts[sid], payload_bytes=payload,

@@ -2,7 +2,9 @@
 
 import pytest
 
-from tokendcf import DATA, ACK, MacFrame, MacParams, frame_airtime
+from tokendcf import (DATA, ACK, MacFrame, MacParams, TrafficSpec, frame_airtime,
+                      substream)
+from tokendcf.traffic import make_source
 from tokendcf.mac import ACCEPTED, DROPPED, IDLE, WAITING, AWAIT_ACK
 
 from conftest import Network, Recorder
@@ -247,6 +249,33 @@ def test_sink_sends_no_ack_for_foreign_destination():
     ack_srcs = {src for _, kind, src, fkind, *_ in net.trace
                 if kind == "tx" and fkind == ACK}
     assert ack_srcs == {1}
+
+
+# -- stations that both send and receive ------------------------------------
+
+def check_bidirectional(net):
+    """Each station's packets are conserved, and an idle station has none queued."""
+    for st in net.stations:
+        assert st.enqueued == st.delivered + st.dropped_full + st.dropped_retry + len(st.queue)
+        assert st.phase != IDLE or not st.queue, (st.sid, len(st.queue))
+    assert sum(st.delivered for st in net.stations) == len(net.metrics.access_delays)
+
+
+@pytest.mark.parametrize("protocol", ["dcf", "token_dcf"])
+def test_bidirectional_flows_keep_their_dcf_state(protocol):
+    # 0 -> 1 and 1 -> 0: each station's ACKs interleave with its own data
+    traffic = TrafficSpec(kind="pareto_on_off", packet_size=1500, rate_bps=2e7)
+    for seed in range(5):
+        net = Network([(0.0, 0.0), (100.0, 0.0)], [(0, 1), (1, 0)],
+                      protocol=protocol, seed=seed)
+        for st in net.stations:
+            make_source(st, traffic, substream(seed, st.sid, "traffic")).start()
+        net.run(1_000_000)
+        check_bidirectional(net)
+        assert all(st.delivered > 0 for st in net.stations)
+    net = Network([(0.0, 0.0), (100.0, 0.0)], [(0, 1), (1, 0)], protocol=protocol)
+    net.saturate().run(200_000)
+    check_bidirectional(net)
 
 
 def test_token_data_header_four_bytes_larger():

@@ -1,8 +1,8 @@
-"""Metric summarization arithmetic and the efficiency formula."""
+"""Metric summarization arithmetic."""
 
 import pytest
 
-from tokendcf import Metrics, efficiency, summarize
+from tokendcf import Metrics, summarize
 
 
 def test_throughput_from_delivered_bits():
@@ -55,26 +55,3 @@ def test_summarize_rejects_nonpositive_horizon():
     with pytest.raises(ValueError):
         summarize(Metrics(), 0)
 
-
-def test_efficiency_overhead_free_channel():
-    assert efficiency(300, 0) == 1.0
-
-
-def test_efficiency_example():
-    assert efficiency(300, 100) == pytest.approx(0.75)
-
-
-def test_efficiency_increases_with_payload_airtime():
-    from tokendcf import PhyParams, frame_airtime
-    phy = PhyParams()
-    t_oh = 28 + 8 * 9 + 10 + 19   # fixed per-cycle overhead
-    values = [efficiency(frame_airtime(34, p, phy), t_oh)
-              for p in (500, 1000, 1500)]
-    assert values[0] < values[1] < values[2]
-
-
-def test_efficiency_validation():
-    with pytest.raises(ValueError):
-        efficiency(0, 10)
-    with pytest.raises(ValueError):
-        efficiency(10, -1)

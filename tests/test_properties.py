@@ -1,12 +1,16 @@
 """System-level properties: determinism, conservation, privilege exclusivity,
 SIFS-gap exactness, disabled-grant equivalence, and collision replay."""
 
+import math
+from bisect import bisect_left, bisect_right
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokendcf import (ACK, DATA, ScenarioConfig, TokenParams, TrafficSpec,
                       derive_seed)
 from tokendcf.experiments import Simulation
+from tokendcf.traffic import FULL_BUFFER, PARETO_ON_OFF
 
 CLIQUE = dict(n_transmitters=6, area_side=150.0, duration_s=1.0, runs=1)
 
@@ -43,6 +47,11 @@ def check_determinism(protocol="token_dcf", seed=3):
 def check_conservation(protocol="token_dcf", seed=3, **overrides):
     cfg, sim = build(protocol, seed=seed, trace=False, **overrides)
     run_sim(sim, cfg.duration_s)
+    return assert_conserved(cfg, sim)
+
+
+def assert_conserved(cfg, sim):
+    """Every enqueued packet is delivered, dropped or still queued."""
     total_delivered = 0
     for stn in sim.stations:
         if stn.dst is None:
@@ -131,31 +140,40 @@ def check_collision_replay(protocol="dcf", seed=3, **overrides):
     """Recompute every frame's corruption and delivery sets from geometry and
     the raw transmission intervals, independently of the medium's live
     bookkeeping, and compare with what was dispatched."""
-    from bisect import bisect_left, bisect_right
-
     cfg, sim = build(protocol, seed=seed, **overrides)
     run_sim(sim, cfg.duration_s)
-    topo = sim.medium.topology
+    return assert_replayed(cfg, sim)
+
+
+def assert_replayed(cfg, sim):
+    """Replay of a finished traced run; returns the number of transmissions."""
+    positions = sim.positions
+
+    def distance(a, b):
+        (xa, ya), (xb, yb) = positions[a], positions[b]
+        return math.hypot(xa - xb, ya - yb)
+
+    tx_range, cs_range = cfg.phy.tx_range, cfg.phy.cs_range
     listeners = {stn.sid for stn in sim.stations if stn.scheduler}
     log = sim.medium.tx_log
     assert log, "no transmissions recorded"
-    # destination of each transmission, keyed by (src, start), from the trace
-    dst_of = {(rec[2], rec[0]): rec[5] for rec in sim.medium.trace
-              if rec[1] == "tx"}
-    ends = [end for _src, _start, end, *_ in log]   # log is ordered by end
-    max_airtime = max(end - start for _src, start, end, *_ in log)
+    # every transmission start in the trace, in start order, including those
+    # still on the air at the horizon, which the log does not hold
+    tx_recs = [rec for rec in sim.medium.trace if rec[1] == "tx"]
+    dst_of = {(rec[2], rec[0]): rec[5] for rec in tx_recs}
+    aired = [(rec[2], rec[0], rec[4]) for rec in tx_recs]   # (src, start, end)
+    starts = [start for _src, start, _end in aired]
+    max_airtime = max(end - start for _src, start, end in aired)
     for i, (src, start, end, kind, corrupted, delivered) in enumerate(log):
-        in_range = [r for r in range(len(topo)) if r != src
-                    and topo.distance(src, r) <= topo.tx_range]
-        # overlap candidates: entries whose end falls in (start, end + max_airtime]
-        lo = bisect_right(ends, start)
-        hi = bisect_left(ends, end + max_airtime + 1)
-        overlapping = [log[j][:3] for j in range(lo, hi)
-                       if j != i and log[j][0] != src
-                       and log[j][1] < end and start < log[j][2]]
+        in_range = [r for r in range(len(positions)) if r != src
+                    and distance(src, r) <= tx_range]
+        # overlap candidates: those starting in (start - max_airtime, end)
+        lo = bisect_right(starts, start - max_airtime)
+        hi = bisect_left(starts, end)
+        overlapping = [o for o in aired[lo:hi] if o[0] != src and start < o[2]]
         expect_corrupt = {
             r for r in in_range
-            if any(topo.distance(o_src, r) <= topo.cs_range
+            if any(distance(o_src, r) <= cs_range
                    for o_src, _s, _e in overlapping)}
         assert set(corrupted) == expect_corrupt, (i, corrupted, expect_corrupt)
         dst = dst_of[(src, start)]
@@ -247,3 +265,19 @@ def test_busy_time_bounded_with_contention():
        protocol=st.sampled_from(["dcf", "token_dcf"]))
 def test_conservation_over_random_small_scenarios(seed, n, protocol):
     check_conservation(protocol, seed=seed, n_transmitters=n, duration_s=0.2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       n=st.integers(min_value=2, max_value=30),
+       side=st.floats(min_value=100.0, max_value=1500.0),
+       protocol=st.sampled_from(["dcf", "token_dcf"]),
+       kind=st.sampled_from([FULL_BUFFER, PARETO_ON_OFF]))
+def test_random_multihop_fields_conserve_and_replay(seed, n, side, protocol, kind):
+    # from a clique (100 m) to sparse fields of hidden and exposed stations
+    traffic = TrafficSpec(kind=kind, packet_size=1500, rate_bps=1e7)
+    cfg, sim = build(protocol, seed=seed, n_transmitters=n, area_side=side,
+                     duration_s=0.1, traffic=traffic)
+    run_sim(sim, cfg.duration_s)
+    assert_conserved(cfg, sim)
+    assert_replayed(cfg, sim)

@@ -2,15 +2,14 @@
 
 import pytest
 
-from tokendcf import (DATA, MacFrame, Simulator, TokenParams, TokenScheduler,
-                      substream)
+from tokendcf import (DATA, ConfigError, MacFrame, ScenarioConfig, Simulator,
+                      TokenParams, TokenScheduler, substream)
 
 
-def make_sched(sid=0, policy="lqf", params=None, seed=1, capacities=None):
+def make_sched(sid=0, params=None, seed=1):
     sim = Simulator()
     sched = TokenScheduler(sid, sim, params or TokenParams(),
-                           substream(seed, sid, "sched"), policy=policy,
-                           capacities=capacities)
+                           substream(seed, sid, "sched"))
     return sim, sched
 
 
@@ -41,21 +40,11 @@ def test_lqf_argmax_with_lowest_id_tie_break():
     assert sched.select_privileged(5) == 2   # 9 ties at 2 and 3; lowest id wins
 
 
-def test_backpressure_weighs_queue_times_capacity():
-    _, sched = make_sched(sid=1, policy="backpressure",
-                          capacities={1: 54_000_000, 2: 27_000_000})
-    sched.p = 1.0
-    sched.active = {1, 2}
-    sched.q_len_map = {2: 9}
-    # own queue 5 at 54 Mbps = 270e6 beats 9 * 27 Mbps = 243e6
-    assert sched.select_privileged(5) == 1
-
-
 def test_unknown_policy_rejected():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        TokenScheduler(0, sim, TokenParams(), substream(1, 0, "sched"),
-                       policy="fifo")
+    # the grant policy is a scenario setting: lqf, or backpressure, which
+    # picks as lqf does while every link runs at one bit rate
+    with pytest.raises(ConfigError):
+        ScenarioConfig(policy="fifo")
 
 
 # -- transmit / receive hooks -----------------------------------------------
