@@ -15,7 +15,7 @@ def _parse_values(text):
         if not chunk:
             continue
         num = float(chunk)
-        values.append(int(num) if num == int(num) else num)
+        values.append(int(num) if num.is_integer() else num)
     if not values:
         raise argparse.ArgumentTypeError("empty value list")
     return values

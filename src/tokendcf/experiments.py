@@ -59,8 +59,21 @@ class ScenarioConfig:
 
 # -- config files ----------------------------------------------------------
 
-def _as_int(text):
-    return int(float(text)) if ("e" in text or "." in text) else int(text)
+def _as_int(value):
+    """An int from a whole, finite number or its text; ValueError otherwise."""
+    if isinstance(value, int) or (isinstance(value, str) and "e" not in value and "." not in value):
+        return int(value)
+    num = float(value)
+    if not num.is_integer():   # also False for inf and nan
+        raise ValueError(f"not a whole number: {value!r}")
+    return int(num)
+
+
+def _convert(name, conv, value):
+    try:
+        return conv(value)
+    except ValueError as exc:
+        raise ConfigError(f"malformed value for {name}: {value!r}") from exc
 
 
 _SCHEMA = {
@@ -115,10 +128,7 @@ def parse_config(source):
             conv = _SCHEMA[sec].get(key)
             if conv is None:
                 raise ConfigError(f"unknown key '{key}' in section [{sec}]")
-            try:
-                val = conv(raw)
-            except ValueError as exc:
-                raise ConfigError(f"malformed value for [{sec}] {key}: {raw!r}") from exc
+            val = _convert(f"[{sec}] {key}", conv, raw)
             if (sec, key) == ("token", "period"):
                 val = int(round(val * 1e6))
             values[sec][_KEY_RENAME.get((sec, key), key)] = val
@@ -253,17 +263,19 @@ def run_scenario(config, scenario_id=None):
 
 
 def apply_sweep_value(config, param, value):
+    if param in ("packet_size", "n_transmitters", "runs", "seed"):
+        value = _convert(param, _as_int, value)
+    elif param in ("rate", "area_side", "duration_s"):
+        value = _convert(param, float, value)
+    else:
+        raise ConfigError(f"cannot sweep over parameter '{param}'")
     if param == "packet_size":
-        traffic = dataclasses.replace(config.traffic, packet_size=int(value))
+        traffic = dataclasses.replace(config.traffic, packet_size=value)
         return dataclasses.replace(config, traffic=traffic)
     if param == "rate":
-        traffic = dataclasses.replace(config.traffic, rate_bps=float(value))
+        traffic = dataclasses.replace(config.traffic, rate_bps=value)
         return dataclasses.replace(config, traffic=traffic)
-    if param in ("n_transmitters", "runs", "seed"):
-        return dataclasses.replace(config, **{param: int(value)})
-    if param in ("area_side", "duration_s"):
-        return dataclasses.replace(config, **{param: float(value)})
-    raise ConfigError(f"cannot sweep over parameter '{param}'")
+    return dataclasses.replace(config, **{param: value})
 
 
 def run_sweep(base_config, param, values, out_dir=None):

@@ -29,7 +29,7 @@ class Station:
         "sid", "sim", "medium", "phy", "mac", "metrics", "rng",
         "dst", "payload_bytes", "scheduler", "source",
         "queue", "cw", "retries", "phase",
-        "pending_slots", "sifs_plan", "idle_since", "registered",
+        "pending_slots", "sifs_plan", "registered",
         "_ack_timer", "_seq",
         "enqueued", "delivered", "dropped_full", "dropped_retry",
         "data_header_bytes", "ack_airtime",
@@ -54,8 +54,7 @@ class Station:
         self.phase = IDLE
         self.pending_slots = None   # None = fresh draw on next resume
         self.sifs_plan = False
-        self.idle_since = 0
-        self.registered = False     # access counting, or frozen in the group heap
+        self.registered = False     # the medium holds its access, counting or frozen
         self._ack_timer = None
         self._seq = 0
         self.enqueued = 0
@@ -94,7 +93,6 @@ class Station:
 
     def _resume_wait(self):
         """The channel is idle: plan the access and hand it to the medium."""
-        self.idle_since = self.sim.now
         self.registered = True
         sched = self.scheduler
         if sched is not None and sched.flag:
@@ -108,22 +106,10 @@ class Station:
             slots = self.pending_slots
         self.medium.register_access(self.sid, slots)
 
-    def on_channel_busy(self):
-        """Busy edge of an access counted on its own fire time: freeze it.
-
-        Backoffs that count in their carrier-sense group's heap are frozen
-        by the medium without a call.
-        """
-        self.registered = False
-        if not self.sifs_plan:
-            phy = self.phy
-            elapsed = self.sim.now - self.idle_since
-            if elapsed > phy.difs:
-                consumed = (elapsed - phy.difs) // phy.slot_time
-                self.pending_slots = max(self.pending_slots - consumed, 0)
-
-    def on_channel_idle(self):
-        """Idle edge after a busy-channel join, a freeze or a withdrawal."""
+    def on_channel_idle(self, slots):
+        """Idle edge: resume with the backoff ``slots`` the medium left (None keeps the plan)."""
+        if slots is not None:
+            self.pending_slots = slots
         self._resume_wait()
 
     def fire_access(self):
@@ -165,9 +151,9 @@ class Station:
         if self.scheduler is not None and frame.src != self.sid:
             self.scheduler.on_receive_data(frame)
             if self.scheduler.flag and self.registered:
-                # granted while its backoff sits frozen in the group heap:
-                # plan a SIFS access at the idle edge, keeping the slots left
-                self.pending_slots = self.medium.withdraw_access(self.sid)
+                # granted while its access is frozen: plan a SIFS access at
+                # the idle edge, which hands back the slots left
+                self.medium.withdraw_access(self.sid)
                 self.registered = False
         if frame.dst == self.sid:
             src = frame.src

@@ -18,12 +18,13 @@ counted since the epoch, ``(t - epoch - DIFS) // slot``, to the offset, so
 freezing or resuming the whole heap costs O(1); a group with nobody waiting
 costs a count update per edge.  Two kinds of station count on their own
 absolute fire time instead ("solo"): a backoff that starts in the middle of
-the heap's idle period, and a SIFS-privileged access.  They are called back
-at each edge (``on_channel_busy``/``on_channel_idle``) and do their own slot
-arithmetic.  A station that joins while its channel is busy, or is granted
-privilege while frozen in the heap, is called back at the idle edge to plan
-its access.  One wake-up event sits at the earliest fire time over all group
-heads and solo stations, which is far cheaper than one timer per station.
+the heap's idle period, and a SIFS-privileged access; a busy edge freezes
+them by the same rule, counted from their own start.  Stations draw their
+backoffs but never count them: a frozen solo station, a busy-channel joiner
+and a heap member granted privilege while frozen get ``on_channel_idle(slots)``
+at the idle edge, with the slots left (None keeps the plan).  One wake-up
+event sits at the earliest fire time over all group heads and solo
+stations, which is far cheaper than one timer per station.
 """
 
 import math
@@ -66,12 +67,11 @@ def neighbor_tables(positions, tx_range, cs_range):
 
 
 class ActiveTransmission:
-    __slots__ = ("src", "frame", "start", "end", "corrupted")
+    __slots__ = ("src", "frame", "end", "corrupted")
 
-    def __init__(self, src, frame, start, end):
+    def __init__(self, src, frame, end):
         self.src = src
         self.frame = frame
-        self.start = start
         self.end = end
         self.corrupted = set()   # receiver ids with a latched overlap
 
@@ -86,15 +86,18 @@ class _Group:
         self.epoch = 0        # when the heap's members started counting idle time
         self.offset = 0       # slots consumed since the group was formed
         self.heap = []        # (slots left + offset, sid): backoffs counting from epoch
-        self.solo = []        # sids counting on their own fire time (in Medium._solo)
-        self.frozen = []      # sids to call on_channel_idle() at the next idle edge
+        self.solo = {}        # sid -> (start, slots or None), counting on its own fire time
+        self.frozen = []      # (sid, slots left or None) to call back at the next idle edge
 
 
 class Medium:
     def __init__(self, sim, positions, metrics=None, trace=None, phy=None):
         self.sim = sim
         self.metrics = metrics
-        self.trace = trace       # list to append channel records to, or None
+        # list for (t, "tx", src, kind, end, dst) and (t, "end", src, kind,
+        # delivered, corrupted) records, receiver ids sorted; or None
+        self.trace = trace
+        self._spoiled = {}       # corrupted set (sorted tuple) -> the copy the trace holds
         n = len(positions)
         phy = phy or PhyParams()   # radii and timing; bind() checks the stations use it
         self.phy = phy
@@ -122,7 +125,6 @@ class Medium:
         self._solo = {}          # solo sid -> absolute fire time
         self._wake_entry = None
         self._wake_at = _INF
-        self.tx_log = [] if trace is not None else None
 
     # -- wiring -----------------------------------------------------------
 
@@ -170,11 +172,11 @@ class Medium:
 
         Returns True when its channel is idle: the station plans its access
         now and calls ``register_access``.  Otherwise the station's
-        ``on_channel_idle()`` is called at the next idle edge.
+        ``on_channel_idle(None)`` is called at the next idle edge.
         """
         group = self._group_of[sid] or self.subscribe(sid)
         if group.busy:
-            group.frozen.append(sid)
+            group.frozen.append((sid, None))
             return False
         return True
 
@@ -199,58 +201,56 @@ class Medium:
             self._heads[group] = self._head_time(group)
         else:
             self._solo[sid] = fire_at
-            group.solo.append(sid)
+            group.solo[sid] = (now, slots)
         if fire_at < self._wake_at:
             self._set_wake(fire_at)
 
     def withdraw_access(self, sid):
-        """Take a backoff out of its group's heap; returns the slots it had left.
+        """Hold a frozen access for the idle edge, taking it out of the heap.
 
         Only while the group is busy, or while it hands out the frame that
         ends its busy period, before its counts restart.  The station's
-        ``on_channel_idle()`` is called at the (next) idle edge.
+        ``on_channel_idle(slots)`` is called at the (next) idle edge.
         """
         group = self._group_of[sid]
         if not group.busy and group.epoch != self.sim.now:
             raise MediumError(f"station {sid}: withdrawal while its backoff counts")
-        heap = group.heap
-        for i, (key, member) in enumerate(heap):
-            if member == sid:
-                break
-        else:
-            raise MediumError(f"station {sid} has no backoff in its group heap")
-        heap[i] = heap[-1]
-        heap.pop()
-        heapify(heap)
-        if not heap:
+        entry = next((entry for entry in group.heap if entry[1] == sid), None)
+        if entry is None:
+            if not any(member == sid for member, _slots in group.frozen):
+                raise MediumError(f"station {sid} has no frozen access in its group")
+            return
+        group.heap.remove(entry)
+        heapify(group.heap)
+        if not group.heap:
             self._heads.pop(group, None)
-        group.frozen.append(sid)
-        return max(key - group.offset, 0)
+        group.frozen.append((sid, max(entry[0] - group.offset, 0)))
 
     def _freeze(self, group, now):
         """Busy edge of a group with waiters: stop every count in it."""
+        # the stale wake stays: re-arming it here reorders same-instant events and changes traces
         if group.heap:
-            counted = now - group.epoch - self._difs
-            if counted > 0:
-                group.offset += counted // self._slot
+            group.offset += self._counted(group.epoch, now)
             self._heads.pop(group, None)
         if group.solo:
-            solo = self._solo
-            stations = self.stations
-            for sid in group.solo:
-                del solo[sid]
-                stations[sid].on_channel_busy()
-            group.frozen.extend(group.solo)
-            group.solo = []
+            for sid, (start, slots) in group.solo.items():
+                del self._solo[sid]
+                if slots is not None:
+                    slots = max(slots - self._counted(start, now), 0)
+                group.frozen.append((sid, slots))
+            group.solo = {}
+
+    def _counted(self, since, now):
+        """Whole slots counted from ``since`` to a busy edge: none before DIFS."""
+        idle = now - since - self._difs
+        return idle // self._slot if idle > 0 else 0
 
     def _resume(self, group):
         """Idle edge of a group with waiters: restart every count in it."""
         if group.frozen:
-            frozen = group.frozen
-            group.frozen = []
-            stations = self.stations
-            for sid in frozen:
-                stations[sid].on_channel_idle()
+            frozen, group.frozen = group.frozen, []
+            for sid, slots in frozen:
+                self.stations[sid].on_channel_idle(slots)
         if group.heap:
             head_at = self._head_time(group)
             self._heads[group] = head_at
@@ -275,7 +275,7 @@ class Medium:
         due = [sid for sid, at in solo.items() if at <= now] if solo else []
         for sid in due:
             del solo[sid]
-            self._group_of[sid].solo.remove(sid)
+            del self._group_of[sid].solo[sid]
         heads = self._heads
         for group in [g for g, at in heads.items() if at <= now]:
             heap = group.heap
@@ -306,7 +306,7 @@ class Medium:
         if airtime <= 0:
             raise MediumError("airtime must be positive")
         now = self.sim.now
-        tx = ActiveTransmission(src, frame, now, now + airtime)
+        tx = ActiveTransmission(src, frame, now + airtime)
         cs_set = self.cs_set
         if self._active:
             my_cs = cs_set[src]
@@ -368,9 +368,8 @@ class Medium:
         stations = self.stations
         corrupted = tx.corrupted
         dst = frame.dst
-        delivered_to = None
-        if self.tx_log is not None:
-            delivered_to = []
+        trace = self.trace
+        delivered_to = [] if trace is not None else None
         # addressed receiver first so its response wins same-instant ties
         if dst != src and dst not in corrupted and dst in self.tx_nb[src]:
             # tx_nb lists are short; membership scan is fine off the hot path
@@ -383,10 +382,11 @@ class Medium:
                     stations[r].on_frame(frame)
                     if delivered_to is not None:
                         delivered_to.append(r)
-        if self.tx_log is not None:
-            self.tx_log.append((src, tx.start, tx.end, frame.kind, tuple(sorted(corrupted)), tuple(sorted(delivered_to))))
-        if self.trace is not None:
-            self.trace.append((now, "end", src, frame.kind, tuple(sorted(delivered_to or ()))))
+        if trace is not None:
+            # collisions spoil the same receivers again and again: keep one copy
+            spoiled = tuple(sorted(corrupted))
+            spoiled = self._spoiled.setdefault(spoiled, spoiled)
+            trace.append((now, "end", src, frame.kind, tuple(sorted(delivered_to)), spoiled))
 
         stations[src].on_tx_complete(frame)
         for group in newly_idle:

@@ -66,14 +66,29 @@ class Recorder:
     def on_tx_complete(self, frame):
         self.events.append((self.sim.now, "tx_complete", frame))
 
-    def on_channel_busy(self):
-        self.events.append((self.sim.now, "busy", None))
-
-    def on_channel_idle(self):
-        self.events.append((self.sim.now, "idle", None))
+    def on_channel_idle(self, slots):
+        self.events.append((self.sim.now, "idle", slots))
 
     def fire_access(self):
         self.events.append((self.sim.now, "fire", None))
+
+
+def finished_frames(trace):
+    """(src, start, end, kind, corrupted, delivered) per "end" record of a trace.
+
+    In the order the frames ended; the start and end instants come from the
+    source's last "tx" record (a station sends one frame at a time).
+    """
+    aired = {}
+    frames = []
+    for rec in trace:
+        if rec[1] == "tx":
+            aired[rec[2]] = rec
+        else:
+            _t, _end, src, kind, delivered, corrupted = rec
+            start, _tx, _src, _kind, end, _dst = aired[src]
+            frames.append((src, start, end, kind, corrupted, delivered))
+    return frames
 
 
 @pytest.fixture

@@ -53,6 +53,12 @@ def test_sweep_writes_csv_and_plot_data(config_file, tmp_path):
     assert (out / "throughput_bps_token_dcf.dat").exists()
 
 
+def test_sweep_rejects_infinite_count(config_file, tmp_path, capsys):
+    assert main(["sweep", "--config", config_file, "--param", "n_transmitters",
+                 "--values", "inf", "--out", str(tmp_path / "x")]) == 2
+    assert "n_transmitters" in capsys.readouterr().err
+
+
 def test_sweep_unknown_param_errors(config_file, tmp_path, capsys):
     assert main(["sweep", "--config", config_file, "--param", "nonsense",
                  "--values", "1,2", "--out", str(tmp_path / "x")]) == 2

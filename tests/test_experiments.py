@@ -99,9 +99,20 @@ def test_unknown_key_rejected_with_name():
         parse_config("[phy]\njitter = 5\n")
 
 
-def test_malformed_value_rejected():
-    with pytest.raises(ConfigError, match="cw_min"):
-        parse_config("[mac]\ncw_min = lots\n")
+@pytest.mark.parametrize("key, malformed", [
+    ("cw_min", lambda: parse_config("[mac]\ncw_min = lots\n")),
+    # integer settings must be whole and finite, in a file and in a sweep
+    ("cw_min", lambda: parse_config("[mac]\ncw_min = 16.9\n")),
+    ("queue_capacity", lambda: parse_config("[mac]\nqueue_capacity = 2.5\n")),
+    ("bit_rate", lambda: parse_config("[phy]\nbit_rate = 1e400\n")),
+    ("n_transmitters", lambda: apply_sweep_value(short_config(), "n_transmitters", 2.5)),
+    ("n_transmitters",
+     lambda: apply_sweep_value(short_config(), "n_transmitters", float("inf"))),
+], ids=["cw_min-lots", "cw_min-16.9", "queue_capacity-2.5", "bit_rate-1e400",
+        "sweep-n_transmitters-2.5", "sweep-n_transmitters-inf"])
+def test_malformed_value_rejected(key, malformed):
+    with pytest.raises(ConfigError, match=key):
+        malformed()
 
 
 def test_invariant_violation_rejected():

@@ -1,15 +1,19 @@
 """Golden-trace gate: fixed (config, seed) runs must reproduce pinned digests.
 
 Each case runs one seeded simulation with the medium's trace on and hashes
-``medium.trace``, ``medium.tx_log`` and the run's ``MetricsReport``.  A
-refactor must leave every digest unchanged.  A change that alters behaviour
-on purpose replaces the table below with the one printed on failure, and
-says so in CHANGES.md.
+the channel records and the run's ``MetricsReport``.  The records are hashed
+in the layout they had when the table was pinned, both rebuilt from the one
+stream: the trace with five-field ``end`` records (no corrupted set), then
+the log of finished frames.  A refactor must leave every digest unchanged.
+A change that alters behaviour on purpose replaces the table below with the
+one printed on failure, and says so in CHANGES.md.
 """
 
 import hashlib
 
 from tokendcf import ScenarioConfig, Simulation, TrafficSpec, derive_seed
+
+from conftest import finished_frames
 
 PARETO = TrafficSpec(kind="pareto_on_off", packet_size=1500, rate_bps=1e6)
 
@@ -41,13 +45,14 @@ def _cases():
 
 
 def run_digest(config, run_index):
-    """sha256 (first 16 hex digits) of one run's trace, tx log and report."""
+    """sha256 (first 16 hex digits) of one run's trace, frame log and report."""
     trace = []
     sim = Simulation(config, derive_seed(config.seed, run_index), trace=trace)
     report = sim.run()
     digest = hashlib.sha256()
-    digest.update(repr(trace).encode())
-    digest.update(repr(sim.medium.tx_log).encode())
+    # the pinned layout: "end" records without the corrupted set
+    digest.update(repr([rec[:5] if rec[1] == "end" else rec for rec in trace]).encode())
+    digest.update(repr(finished_frames(trace)).encode())
     digest.update(repr(report).encode())
     return digest.hexdigest()[:16]
 

@@ -148,21 +148,26 @@ def test_mid_idle_joiner_counts_its_own_idle_time():
 
 @pytest.mark.parametrize("cleared", [False, True])
 def test_grant_to_frozen_heap_backoff(cleared):
-    net = contenders(protocol="token_dcf")
-    st = join_at(net, 0, 0, 20, 99)
-    # an overheard frame naming 0 arrives while its backoff is frozen in
-    # the heap: (100 - 28) // 9 = 8 slots counted, 12 left
-    noise_at(net, 100, 50, privileged=0)
-    if cleared:
-        # the SIFS wait is cut short, and the next frame names nobody
-        noise_at(net, 155, 50)
-        net.run(3000)
-        assert first_tx(net, 0) == 205 + 28 + 12 * 9
-        assert st.rng.slots == [99]
-    else:
-        net.run(3000)
-        assert first_tx(net, 0) == 150 + 10
-        assert st.sifs_plan
+    # an overheard frame naming 0 arrives while its 20-slot backoff is
+    # frozen.  heap: 0 counted from t=0, (100 - 28) // 9 = 8 slots, 12 left.
+    # solo: 2 waits from t=0, so 0 counts from t=50 on its own fire time,
+    # (100 - 50 - 28) // 9 = 2 slots, 18 left; the grant finds no heap entry
+    for mode, joined, left in (("heap", 0, 12), ("solo", 50, 18)):
+        net = contenders(protocol="token_dcf")
+        if mode == "solo":
+            join_at(net, 2, 0, 1000)
+        st = join_at(net, 0, joined, 20, 99)
+        noise_at(net, 100, 50, privileged=0)
+        if cleared:
+            # the SIFS wait is cut short, and the next frame names nobody
+            noise_at(net, 155, 50)
+            net.run(3000)
+            assert first_tx(net, 0) == 205 + 28 + left * 9, mode
+            assert st.rng.slots == [99]
+        else:
+            net.run(3000)
+            assert first_tx(net, 0) == 150 + 10, mode
+            assert st.sifs_plan
 
 
 # -- contention window ladder -----------------------------------------------

@@ -1,5 +1,6 @@
 """Neighbour tables, carrier sensing, delivery and collision outcomes."""
 
+import inspect
 import math
 
 import pytest
@@ -95,21 +96,50 @@ def test_carrier_busy_at_540m_not_at_560m():
 
 
 def test_subscriber_gets_busy_and_idle_edges():
-    # 1 counts a SIFS wait from t=45 on its own fire time: it is frozen by
-    # the busy edge and called back at the idle edge; 2 joins while the
-    # channel is busy and hears only the idle edge
-    sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
+    # the busy edge at t=50 freezes every count in the group, silently; the
+    # idle edge at t=146 hands back the slots left.  3 counts 40 slots in
+    # the heap from t=0 and resumes there without a call.  4 starts 10
+    # slots mid-idle at t=5 on its own fire time and has counted
+    # (50 - 5 - 28) // 9 = 1.  1 counts a SIFS wait from t=45 and 2 joins
+    # while the channel is busy: both keep their plan (None).
+    positions = [(0.0, 0.0), (100.0, 0.0), (50.0, 50.0), (0.0, 50.0), (100.0, 50.0)]
+    sim, medium, recorders = make_medium(positions)
+    sim.schedule(0, lambda: medium.join(3) and medium.register_access(3, 40))
+    sim.schedule(5, lambda: medium.join(4) and medium.register_access(4, 10))
     sim.schedule(45, lambda: medium.join(1) and medium.register_access(1, None))
     sim.schedule(50, lambda: medium.begin_transmission(0, data(0, 1), 96))
     sim.schedule(60, lambda: medium.join(2))
     sim.run_until(500)
 
-    def edges(sid):
-        return [(t, kind) for t, kind, _ in recorders[sid].events if kind in ("busy", "idle")]
+    def idle_edges(sid):
+        return [(t, slots) for t, kind, slots in recorders[sid].events if kind == "idle"]
 
-    assert edges(1) == [(50, "busy"), (146, "idle")]
-    assert edges(2) == [(146, "idle")]
-    assert not any(kind == "fire" for _, kind, _ in recorders[1].events)
+    assert idle_edges(4) == [(146, 9)]
+    assert idle_edges(1) == [(146, None)]
+    assert idle_edges(2) == [(146, None)]
+    assert idle_edges(3) == []
+    # 3 fires at 146 + 28 + (40 - 2) * 9 = 516, after the horizon
+    assert not any(kind == "fire" for rec in recorders for _, kind, _ in rec.events)
+
+
+def test_withdrawal_needs_a_frozen_access():
+    sim, medium, _ = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
+    medium.begin_transmission(0, data(0, 1), 96)
+    medium.subscribe(1)
+    with pytest.raises(MediumError):
+        medium.withdraw_access(1)
+
+
+MEDIUM_CALLBACKS = ("fire_access", "on_channel_idle", "on_frame", "on_tx_complete")
+
+
+def test_recorder_stub_has_the_station_callbacks():
+    # the stub stands in for Station wherever the medium calls back, so it
+    # has exactly Station's callbacks, with the same parameters
+    assert {name for name in vars(Recorder) if not name.startswith("_")} == set(MEDIUM_CALLBACKS)
+    for name in MEDIUM_CALLBACKS:
+        assert inspect.signature(getattr(Recorder, name)) == \
+            inspect.signature(getattr(Station, name)), name
 
 
 # -- delivery and corruption ------------------------------------------------

@@ -12,6 +12,8 @@ from tokendcf import (ACK, DATA, ScenarioConfig, TokenParams, TrafficSpec,
 from tokendcf.experiments import Simulation
 from tokendcf.traffic import FULL_BUFFER, PARETO_ON_OFF
 
+from conftest import finished_frames
+
 CLIQUE = dict(n_transmitters=6, area_side=150.0, duration_s=1.0, runs=1)
 
 
@@ -155,11 +157,12 @@ def assert_replayed(cfg, sim):
 
     tx_range, cs_range = cfg.phy.tx_range, cfg.phy.cs_range
     listeners = {stn.sid for stn in sim.stations if stn.scheduler}
-    log = sim.medium.tx_log
+    trace = sim.medium.trace
+    log = finished_frames(trace)
     assert log, "no transmissions recorded"
     # every transmission start in the trace, in start order, including those
-    # still on the air at the horizon, which the log does not hold
-    tx_recs = [rec for rec in sim.medium.trace if rec[1] == "tx"]
+    # still on the air at the horizon, which have no "end" record
+    tx_recs = [rec for rec in trace if rec[1] == "tx"]
     dst_of = {(rec[2], rec[0]): rec[5] for rec in tx_recs}
     aired = [(rec[2], rec[0], rec[4]) for rec in tx_recs]   # (src, start, end)
     starts = [start for _src, start, _end in aired]
