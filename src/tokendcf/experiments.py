@@ -4,6 +4,7 @@ import configparser
 import csv
 import dataclasses
 import io
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -13,7 +14,7 @@ from .medium import Medium
 from .metrics import Metrics, summarize
 from .params import ConfigError, MacParams, PhyParams, TokenParams
 from .token import TokenScheduler
-from .traffic import FULL_BUFFER, PARETO_ON_OFF, TrafficSpec, make_source
+from .traffic import TrafficSpec, make_source
 
 PROTOCOLS = ("dcf", "token_dcf")
 # Grant policies.  Every link runs at phy.bit_rate, so the backpressure weight
@@ -57,7 +58,7 @@ class ScenarioConfig:
         return self.traffic.packet_size
 
 
-# -- config files ----------------------------------------------------------
+# -- config files and sweeps -----------------------------------------------
 
 def _as_int(value):
     """An int from a whole, finite number or its text; ValueError otherwise."""
@@ -69,79 +70,84 @@ def _as_int(value):
     return int(num)
 
 
+def _as_float(value):
+    """A finite float from a number or its text; ValueError otherwise."""
+    num = float(value)
+    if not math.isfinite(num):
+        raise ValueError(f"not a finite number: {value!r}")
+    return num
+
+
 def _convert(name, conv, value):
     try:
         return conv(value)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed value for {name}: {value!r}") from exc
 
 
-_SCHEMA = {
-    "phy": {
-        "slot_time": _as_int, "sifs": _as_int, "difs": _as_int, "preamble": _as_int,
-        "bit_rate": _as_int, "tx_range": float, "cs_range": float,
-    },
-    "mac": {
-        "cw_min": _as_int, "cw_max": _as_int, "queue_capacity": _as_int,
-        "retry_limit": _as_int, "data_header_bytes": _as_int,
-        "ack_header_bytes": _as_int, "sched_header_bytes": _as_int,
-        "ack_timeout_guard": _as_int,
-    },
-    "token": {
-        "min_ratio": float, "max_ratio": float, "max_num": _as_int,
-        "delta": float, "max_p": float, "period": float,   # period in seconds
-    },
-    "traffic": {
-        "kind": str, "packet_size": _as_int, "rate": float,
-        "on_mean_us": float, "off_mean_us": float, "shape": float,
-    },
-    "experiment": {
-        "protocol": str, "policy": str, "n_transmitters": _as_int,
-        "area_side": float, "duration": float, "runs": _as_int, "seed": _as_int,
-    },
+# INI section -> the parameter set it fills; [experiment] fills ScenarioConfig's
+# own scalar fields.  Each key is the field name, converted by the field's type,
+# except for the renamed keys below.
+_SECTIONS = {"phy": PhyParams, "mac": MacParams, "token": TokenParams,
+             "traffic": TrafficSpec, "experiment": ScenarioConfig}
+_CONVERTERS = {int: _as_int, float: _as_float, str: str}
+_RENAMED = {   # (section, field) -> (key, converter)
+    ("token", "period_us"): ("period", lambda v: round(_as_float(v) * 1e6)),   # seconds
+    ("traffic", "rate_bps"): ("rate", _as_float),
+    ("experiment", "duration_s"): ("duration", _as_float),
 }
 
-_KEY_RENAME = {
-    ("token", "period"): "period_us",
-    ("traffic", "rate"): "rate_bps",
-    ("experiment", "duration"): "duration_s",
+
+def _key_table(sec, cls):
+    """key -> (field, converter) for one section."""
+    table = {}
+    for f in dataclasses.fields(cls):
+        if f.type in _CONVERTERS:
+            key, conv = _RENAMED.get((sec, f.name), (f.name, _CONVERTERS[f.type]))
+            table[key] = (f.name, conv)
+    return table
+
+
+_KEYS = {sec: _key_table(sec, cls) for sec, cls in _SECTIONS.items()}
+
+# sweep parameter -> the (section, key) of the config file it overrides
+_SWEEPS = {
+    "packet_size": ("traffic", "packet_size"), "rate": ("traffic", "rate"),
+    "n_transmitters": ("experiment", "n_transmitters"), "runs": ("experiment", "runs"),
+    "seed": ("experiment", "seed"), "area_side": ("experiment", "area_side"),
+    "duration_s": ("experiment", "duration"),
 }
+
+
+def _build(base, values):
+    """``base`` with ``{section: {field: value}}`` applied; each new set validates itself."""
+    nested = {sec: dataclasses.replace(getattr(base, sec), **fields)
+              for sec, fields in values.items() if sec != "experiment"}
+    return dataclasses.replace(base, **nested, **values.get("experiment", {}))
 
 
 def parse_config(source):
-    """Build a ScenarioConfig from INI-style text or a file path.
+    """Build a ScenarioConfig from INI-style text.
 
     Unspecified keys take the protocol defaults; unknown sections or keys are
     rejected with the offending name.
     """
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         cp.read_file(io.StringIO(source))
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
 
-    values = {sec: {} for sec in _SCHEMA}
+    values = {}
     for sec in cp.sections():
-        if sec not in _SCHEMA:
+        if sec not in _KEYS:
             raise ConfigError(f"unknown section [{sec}]")
         for key, raw in cp.items(sec):
-            conv = _SCHEMA[sec].get(key)
-            if conv is None:
+            if key not in _KEYS[sec]:
                 raise ConfigError(f"unknown key '{key}' in section [{sec}]")
-            val = _convert(f"[{sec}] {key}", conv, raw)
-            if (sec, key) == ("token", "period"):
-                val = int(round(val * 1e6))
-            values[sec][_KEY_RENAME.get((sec, key), key)] = val
-
-    try:
-        phy = PhyParams(**values["phy"])
-        mac = MacParams(**values["mac"])
-        token = TokenParams(**values["token"])
-        traffic = TrafficSpec(**values["traffic"])
-        return ScenarioConfig(phy=phy, mac=mac, token=token, traffic=traffic,
-                              **values["experiment"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+            field_name, conv = _KEYS[sec][key]
+            values.setdefault(sec, {})[field_name] = _convert(f"[{sec}] {key}", conv, raw)
+    return _build(ScenarioConfig(), values)
 
 
 def load_config(path):
@@ -193,15 +199,14 @@ class Simulation:
                 scheduler = TokenScheduler(tx_id, self.sim, config.token,
                                            substream(run_seed, tx_id, "sched"))
             st = Station(
-                tx_id, self.sim, self.medium, config.phy, config.mac, self.metrics,
+                tx_id, self.sim, self.medium, config.mac, self.metrics,
                 rng=substream(run_seed, tx_id, "backoff"),
                 dst=rx_id, payload_bytes=config.traffic.packet_size,
                 scheduler=scheduler,
             )
             self.stations.append(st)
         for i in range(n):
-            sink = Station(n + i, self.sim, self.medium, config.phy, config.mac,
-                           self.metrics)
+            sink = Station(n + i, self.sim, self.medium, config.mac, self.metrics)
             self.stations.append(sink)
         self.medium.bind(self.stations)
         for st in self.stations[:n]:
@@ -263,30 +268,23 @@ def run_scenario(config, scenario_id=None):
 
 
 def apply_sweep_value(config, param, value):
-    if param in ("packet_size", "n_transmitters", "runs", "seed"):
-        value = _convert(param, _as_int, value)
-    elif param in ("rate", "area_side", "duration_s"):
-        value = _convert(param, float, value)
-    else:
+    if param not in _SWEEPS:
         raise ConfigError(f"cannot sweep over parameter '{param}'")
-    if param == "packet_size":
-        traffic = dataclasses.replace(config.traffic, packet_size=value)
-        return dataclasses.replace(config, traffic=traffic)
-    if param == "rate":
-        traffic = dataclasses.replace(config.traffic, rate_bps=value)
-        return dataclasses.replace(config, traffic=traffic)
-    return dataclasses.replace(config, **{param: value})
+    sec, key = _SWEEPS[param]
+    field_name, conv = _KEYS[sec][key]
+    return _build(config, {sec: {field_name: _convert(param, conv, value)}})
 
 
 def run_sweep(base_config, param, values, out_dir=None):
     """Cartesian product of sweep values and both protocols, in fixed order."""
     if not values:
         raise ConfigError("sweep value list is empty")
+    # every value is checked before the first run
+    configs = [apply_sweep_value(base_config, param, value) for value in values]
     rows = []
-    for value in values:
+    for value, config in zip(values, configs):
         for protocol in PROTOCOLS:
-            cfg = dataclasses.replace(
-                apply_sweep_value(base_config, param, value), protocol=protocol)
+            cfg = dataclasses.replace(config, protocol=protocol)
             rows.append((value, run_scenario(cfg, scenario_id=f"{param}={value}")))
     if out_dir is not None:
         write_csv(os.path.join(out_dir, "results.csv"), [row for _, row in rows])

@@ -35,12 +35,12 @@ class Station:
         "data_header_bytes", "ack_airtime",
     )
 
-    def __init__(self, sid, sim, medium, phy, mac, metrics,
+    def __init__(self, sid, sim, medium, mac, metrics,
                  rng=None, dst=None, payload_bytes=0, scheduler=None):
         self.sid = sid
         self.sim = sim
         self.medium = medium
-        self.phy = phy
+        self.phy = medium.phy
         self.mac = mac
         self.metrics = metrics
         self.rng = rng
@@ -64,7 +64,7 @@ class Station:
         self.data_header_bytes = mac.data_header_bytes + (
             mac.sched_header_bytes if scheduler is not None else 0
         )
-        self.ack_airtime = frame_airtime(mac.ack_header_bytes, 0, phy)
+        self.ack_airtime = frame_airtime(mac.ack_header_bytes, 0, self.phy)
         if scheduler is not None:
             medium.register_listener(sid)
 

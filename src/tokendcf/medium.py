@@ -99,7 +99,7 @@ class Medium:
         self.trace = trace
         self._spoiled = {}       # corrupted set (sorted tuple) -> the copy the trace holds
         n = len(positions)
-        phy = phy or PhyParams()   # radii and timing; bind() checks the stations use it
+        phy = phy or PhyParams()   # radii and timing, for the medium and every station on it
         self.phy = phy
         self._sifs = phy.sifs
         self._difs = phy.difs
@@ -130,8 +130,6 @@ class Medium:
 
     def bind(self, stations):
         for st in stations:
-            if getattr(st, "phy", self.phy) != self.phy:
-                raise MediumError(f"station {st.sid} uses other PHY timing than the medium")
             self.stations[st.sid] = st
 
     def subscribe(self, sid):

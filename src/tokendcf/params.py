@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 

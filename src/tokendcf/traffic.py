@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass
 
 from .core import draw_pareto
+from .params import ConfigError
 
 FULL_BUFFER = "full_buffer"
 PARETO_ON_OFF = "pareto_on_off"
@@ -20,16 +21,16 @@ class TrafficSpec:
 
     def __post_init__(self):
         if self.kind not in (FULL_BUFFER, PARETO_ON_OFF):
-            raise ValueError(f"unknown traffic kind: {self.kind}")
+            raise ConfigError(f"unknown traffic kind: {self.kind}")
         if self.packet_size <= 0:
-            raise ValueError("packet_size must be positive")
+            raise ConfigError("packet_size must be positive")
         if self.kind == PARETO_ON_OFF:
             if self.rate_bps <= 0:
-                raise ValueError("rate_bps must be positive")
+                raise ConfigError("rate_bps must be positive")
             if self.shape <= 1.0:
-                raise ValueError("pareto shape must exceed 1")
+                raise ConfigError("pareto shape must exceed 1")
             if self.on_mean_us <= 0 or self.off_mean_us <= 0:
-                raise ValueError("on/off means must be positive")
+                raise ConfigError("on/off means must be positive")
 
 
 class FullBufferSource:

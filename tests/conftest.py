@@ -28,12 +28,12 @@ class Network:
                 if protocol == "token_dcf":
                     scheduler = TokenScheduler(sid, self.sim, self.token,
                                                substream(seed, sid, "sched"))
-                st = Station(sid, self.sim, self.medium, self.phy, self.mac,
+                st = Station(sid, self.sim, self.medium, self.mac,
                              self.metrics, rng=substream(seed, sid, "backoff"),
                              dst=dsts[sid], payload_bytes=payload,
                              scheduler=scheduler)
             else:
-                st = Station(sid, self.sim, self.medium, self.phy, self.mac,
+                st = Station(sid, self.sim, self.medium, self.mac,
                              self.metrics)
             self.stations.append(st)
         self.medium.bind(self.stations)

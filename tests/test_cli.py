@@ -1,7 +1,11 @@
 """Command-line interface: run, sweep, validate."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from tokendcf import parse_config
 from tokendcf.cli import main
 
 GOOD_CONFIG = """
@@ -30,6 +34,19 @@ def test_validate_bad_config(tmp_path, capsys):
     path.write_text("[mac]\ncw_min = 0\n")
     assert main(["validate", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_validate_rejects_nan_period(tmp_path, capsys):
+    path = tmp_path / "nan.ini"
+    path.write_text("[token]\nperiod = nan\n")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert parse_config(example).protocol == "token_dcf"
 
 
 def test_missing_config_file_reports_error(tmp_path, capsys):
@@ -62,4 +79,10 @@ def test_sweep_rejects_infinite_count(config_file, tmp_path, capsys):
 def test_sweep_unknown_param_errors(config_file, tmp_path, capsys):
     assert main(["sweep", "--config", config_file, "--param", "nonsense",
                  "--values", "1,2", "--out", str(tmp_path / "x")]) == 2
+    assert "sweep error" in capsys.readouterr().err
+
+
+def test_sweep_rejects_invalid_packet_size(config_file, tmp_path, capsys):
+    assert main(["sweep", "--config", config_file, "--param", "packet_size",
+                 "--values", "0", "--out", str(tmp_path / "x")]) == 2
     assert "sweep error" in capsys.readouterr().err

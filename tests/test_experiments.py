@@ -5,9 +5,9 @@ import dataclasses
 
 import pytest
 
-from tokendcf import (ConfigError, ScenarioConfig, TrafficSpec, derive_seed,
-                      generate_topology, parse_config, run_scenario, run_sweep,
-                      simulate_run)
+from tokendcf import (ConfigError, MacParams, PhyParams, ScenarioConfig,
+                      TokenParams, TrafficSpec, derive_seed, generate_topology,
+                      parse_config, run_scenario, run_sweep, simulate_run)
 from tokendcf.experiments import apply_sweep_value, write_csv
 
 
@@ -108,11 +108,56 @@ def test_unknown_key_rejected_with_name():
     ("n_transmitters", lambda: apply_sweep_value(short_config(), "n_transmitters", 2.5)),
     ("n_transmitters",
      lambda: apply_sweep_value(short_config(), "n_transmitters", float("inf"))),
+    # float settings must be finite
+    ("duration", lambda: parse_config("[experiment]\nduration = nan\n")),
+    ("period", lambda: parse_config("[token]\nperiod = nan\n")),
+    ("rate", lambda: parse_config("[traffic]\nkind = pareto_on_off\nrate = inf\n")),
+    ("cs_range", lambda: parse_config("[phy]\ncs_range = nan\n")),
+    ("area_side", lambda: apply_sweep_value(short_config(), "area_side", float("inf"))),
+    # a sweep value the parameter set rejects is a config error too
+    ("packet_size", lambda: apply_sweep_value(short_config(), "packet_size", 0)),
 ], ids=["cw_min-lots", "cw_min-16.9", "queue_capacity-2.5", "bit_rate-1e400",
-        "sweep-n_transmitters-2.5", "sweep-n_transmitters-inf"])
+        "sweep-n_transmitters-2.5", "sweep-n_transmitters-inf",
+        "duration-nan", "period-nan", "rate-inf", "cs_range-nan",
+        "sweep-area_side-inf", "sweep-packet_size-0"])
 def test_malformed_value_rejected(key, malformed):
     with pytest.raises(ConfigError, match=key):
         malformed()
+
+
+SECTIONS = {"phy": PhyParams, "mac": MacParams, "token": TokenParams,
+            "traffic": TrafficSpec, "experiment": ScenarioConfig}
+# field -> its config-file key where the two differ; period is set in seconds
+RENAMED = {"period_us": "period", "rate_bps": "rate", "duration_s": "duration"}
+OTHER_STRINGS = {"kind": "pareto_on_off", "protocol": "token_dcf",
+                 "policy": "backpressure"}
+
+
+def _scalar_fields():
+    for sec, cls in SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            if f.type in (int, float, str):
+                yield sec, f
+
+
+@pytest.mark.parametrize("sec, f", list(_scalar_fields()),
+                         ids=lambda x: x if isinstance(x, str) else x.name)
+def test_every_field_round_trips_through_its_key(sec, f):
+    default = ScenarioConfig()
+    params = default if sec == "experiment" else getattr(default, sec)
+    if f.type is str:
+        value = OTHER_STRINGS[f.name]
+    elif f.type is int:
+        value = getattr(params, f.name) * 2   # period_us: 200000, set as period = 0.2
+    else:
+        value = getattr(params, f.name) / 2   # halved, a float stays in its range
+    text = value / 1e6 if f.name == "period_us" else value
+    cfg = parse_config(f"[{sec}]\n{RENAMED.get(f.name, f.name)} = {text}\n")
+    changed = dataclasses.replace(params, **{f.name: value})
+    if sec == "experiment":
+        assert cfg == changed
+    else:
+        assert cfg == dataclasses.replace(default, **{sec: changed})
 
 
 def test_invariant_violation_rejected():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokendcf import (ACK, DATA, ConfigError, MacFrame, MacParams, Medium,
-                      Metrics, PhyParams, Simulator, Station)
+from tokendcf import (ACK, DATA, ConfigError, MacFrame, Medium, Metrics,
+                      PhyParams, Simulator, Station)
 from tokendcf.medium import MediumError, neighbor_tables
 
 from conftest import Recorder
@@ -71,14 +71,6 @@ def test_link_geometry_symmetric(positions):
             d = math.hypot(xa - xb, ya - yb)
             assert (b in tx_nb[a]) == (a in tx_nb[b]) == (d <= 250.0)
             assert (b in cs_set[a]) == (a in cs_set[b]) == (d <= 550.0)
-
-
-def test_bind_rejects_station_with_other_phy_timing():
-    sim = Simulator()
-    medium = Medium(sim, [(0.0, 0.0), (100.0, 0.0)])
-    st = Station(0, sim, medium, PhyParams(slot_time=20), MacParams(), Metrics())
-    with pytest.raises(MediumError):
-        medium.bind([st])
 
 
 # -- carrier sensing --------------------------------------------------------
