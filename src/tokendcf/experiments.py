@@ -129,8 +129,8 @@ def _build(base, values):
 def parse_config(source):
     """Build a ScenarioConfig from INI-style text.
 
-    Unspecified keys take the protocol defaults; unknown sections or keys are
-    rejected with the offending name.
+    Unspecified keys take the protocol defaults; unknown sections or keys,
+    and keys in a [DEFAULT] section, are rejected with the offending name.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
@@ -138,6 +138,10 @@ def parse_config(source):
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
 
+    if cp.defaults():
+        # its keys would reach every other section, or no setting at all
+        raise ConfigError(f"section [{cp.default_section}] is not supported "
+                          f"(keys: {', '.join(cp.defaults())})")
     values = {}
     for sec in cp.sections():
         if sec not in _KEYS:

@@ -32,7 +32,7 @@ class Station:
         "pending_slots", "sifs_plan", "registered",
         "_ack_timer", "_seq",
         "enqueued", "delivered", "dropped_full", "dropped_retry",
-        "data_header_bytes", "ack_airtime",
+        "data_header_bytes", "data_airtime", "ack_airtime",
     )
 
     def __init__(self, sid, sim, medium, mac, metrics,
@@ -64,6 +64,7 @@ class Station:
         self.data_header_bytes = mac.data_header_bytes + (
             mac.sched_header_bytes if scheduler is not None else 0
         )
+        self.data_airtime = frame_airtime(self.data_header_bytes, payload_bytes, self.phy)
         self.ack_airtime = frame_airtime(mac.ack_header_bytes, 0, self.phy)
         if scheduler is not None:
             medium.register_listener(sid)
@@ -127,10 +128,9 @@ class Station:
         self._seq += 1
         if self.scheduler is not None:
             self.scheduler.on_transmit_data(frame, len(self.queue))
-        airtime = frame_airtime(self.data_header_bytes, self.payload_bytes, self.phy)
         self.metrics.tx_attempts += 1
         self.phase = TRANSMITTING
-        self.medium.begin_transmission(self.sid, frame, airtime)
+        self.medium.begin_transmission(self.sid, frame, self.data_airtime)
 
     def on_tx_complete(self, frame):
         if frame.kind == DATA:

@@ -6,6 +6,15 @@ within the receiver's cs_range overlapped the frame (any overlap corrupts,
 no capture effect).  A station that transmits itself during the overlap is
 corrupted too (half-duplex).  Propagation delay is zero.
 
+Collisions are recorded as overlaps, not as receivers.  When a frame starts,
+it and each frame still on the air record each other's source cs_set, each
+only if that set holds one of its own tx neighbours (``isdisjoint`` stops at
+the first common id and builds no set: O(1) per overlapping pair in a
+clique, O(tx degree) in a field).  A receiver in tx range is spoiled exactly
+when it lies in a recorded set, so the spoiled receivers are worked out once
+when the frame ends, and only for the receivers it is handed to: the
+addressed one and, for DATA, the overhearers.
+
 The medium also runs the contention clock for the MAC layers, kept per
 carrier-sense group: the contending stations that share one cs_set.  They
 see the same busy/idle edges (a waiting station never transmits, so its own
@@ -28,7 +37,7 @@ stations, which is far cheaper than one timer per station.
 """
 
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
 
 from .params import PhyParams
@@ -38,6 +47,12 @@ _INF = float("inf")
 
 class MediumError(Exception):
     pass
+
+
+def _in_sorted(ids, x):
+    """Whether ``x`` is in the ascending list ``ids``."""
+    i = bisect_left(ids, x)
+    return i < len(ids) and ids[i] == x
 
 
 def neighbor_tables(positions, tx_range, cs_range):
@@ -67,13 +82,15 @@ def neighbor_tables(positions, tx_range, cs_range):
 
 
 class ActiveTransmission:
-    __slots__ = ("src", "frame", "end", "corrupted")
+    __slots__ = ("src", "frame", "end", "overlaps")
 
     def __init__(self, src, frame, end):
         self.src = src
         self.frame = frame
         self.end = end
-        self.corrupted = set()   # receiver ids with a latched overlap
+        # cs_sets of overlapping sources that hold a tx neighbour of src:
+        # the neighbours in any of them are spoiled
+        self.overlaps = []
 
 
 class _Group:
@@ -307,13 +324,17 @@ class Medium:
         tx = ActiveTransmission(src, frame, now + airtime)
         cs_set = self.cs_set
         if self._active:
+            tx_nb = self.tx_nb
             my_cs = cs_set[src]
-            my_nb = self.tx_nb[src]
+            my_nb = tx_nb[src]
             for other in self._active.values():
                 if other.end <= now:
                     continue
-                tx.corrupted.update(cs_set[other.src].intersection(my_nb))
-                other.corrupted.update(my_cs.intersection(self.tx_nb[other.src]))
+                other_cs = cs_set[other.src]
+                if not other_cs.isdisjoint(my_nb):
+                    tx.overlaps.append(other_cs)
+                if not my_cs.isdisjoint(tx_nb[other.src]):
+                    other.overlaps.append(my_cs)
         self._active[src] = tx
 
         # channel-wide idle gap: logged per access that begins a busy period
@@ -364,27 +385,35 @@ class Medium:
 
         frame = tx.frame
         stations = self.stations
-        corrupted = tx.corrupted
+        overlaps = tx.overlaps
+        nb = self.tx_nb[src]
         dst = frame.dst
+        # DATA: overhearers want the scheduling header
+        overhear = self._overhear[src] if frame.kind == 0 else ()
+        if len(overlaps) > 1:
+            # several overlaps: their union, over the receivers the frame is handed to
+            spoiled = {r for cs in overlaps for r in overhear if r in cs}
+            spoiled.update(dst for cs in overlaps if dst in cs)
+        else:
+            spoiled = overlaps[0] if overlaps else ()
         trace = self.trace
         delivered_to = [] if trace is not None else None
         # addressed receiver first so its response wins same-instant ties
-        if dst != src and dst not in corrupted and dst in self.tx_nb[src]:
-            # tx_nb lists are short; membership scan is fine off the hot path
+        if dst != src and dst not in spoiled and _in_sorted(nb, dst):
             stations[dst].on_frame(frame)
             if delivered_to is not None:
                 delivered_to.append(dst)
-        if frame.kind == 0:   # DATA: overhearers want the scheduling header
-            for r in self._overhear[src]:
-                if r != dst and r not in corrupted:
-                    stations[r].on_frame(frame)
-                    if delivered_to is not None:
-                        delivered_to.append(r)
+        for r in overhear:
+            if r != dst and r not in spoiled:
+                stations[r].on_frame(frame)
+                if delivered_to is not None:
+                    delivered_to.append(r)
         if trace is not None:
+            hit = set().union(*overlaps)
+            corrupted = tuple(r for r in nb if r in hit)
             # collisions spoil the same receivers again and again: keep one copy
-            spoiled = tuple(sorted(corrupted))
-            spoiled = self._spoiled.setdefault(spoiled, spoiled)
-            trace.append((now, "end", src, frame.kind, tuple(sorted(delivered_to)), spoiled))
+            corrupted = self._spoiled.setdefault(corrupted, corrupted)
+            trace.append((now, "end", src, frame.kind, tuple(sorted(delivered_to)), corrupted))
 
         stations[src].on_tx_complete(frame)
         for group in newly_idle:

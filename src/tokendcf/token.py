@@ -48,9 +48,9 @@ class TokenScheduler:
             return None
         best = None
         best_w = -1.0
-        for s in sorted(self.active):
+        for s in self.active:
             w = own_queue_len if s == self.sid else self.q_len_map.get(s, 0)
-            if w > best_w:
+            if w > best_w or (w == best_w and s < best):
                 best, best_w = s, w
         return best
 

@@ -94,6 +94,12 @@ def test_unknown_section_rejected():
         parse_config("[routing]\nhops = 3\n")
 
 
+def test_default_section_rejected():
+    # configparser keeps [DEFAULT] out of sections(): its keys set nothing
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+        parse_config("[DEFAULT]\nseed = 3\nruns = 2\n")
+
+
 def test_unknown_key_rejected_with_name():
     with pytest.raises(ConfigError, match="jitter"):
         parse_config("[phy]\njitter = 5\n")

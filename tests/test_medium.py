@@ -11,12 +11,12 @@ from tokendcf import (ACK, DATA, ConfigError, MacFrame, Medium, Metrics,
                       PhyParams, Simulator, Station)
 from tokendcf.medium import MediumError, neighbor_tables
 
-from conftest import Recorder
+from conftest import Recorder, finished_frames
 
 
 def make_medium(positions, metrics=None):
     sim = Simulator()
-    medium = Medium(sim, positions, metrics)
+    medium = Medium(sim, positions, metrics, trace=[])
     recorders = [Recorder(i, sim) for i in range(len(positions))]
     medium.bind(recorders)
     return sim, medium, recorders
@@ -29,6 +29,17 @@ def data(src, dst, payload=500):
 def frames_at(recorder):
     """Frames the medium delivered (decoded) at a recorder station."""
     return [f for _, kind, f in recorder.events if kind == "frame"]
+
+
+def ends(medium):
+    """src -> (delivered, corrupted) of the trace's "end" records, one frame per source."""
+    return {src: (delivered, corrupted)
+            for src, _start, _end, _kind, corrupted, delivered in finished_frames(medium.trace)}
+
+
+def corrupted(medium):
+    """src -> the receivers the trace's "end" record lists as corrupted."""
+    return {src: spoiled for src, (_delivered, spoiled) in ends(medium).items()}
 
 
 # -- geometry ---------------------------------------------------------------
@@ -140,9 +151,9 @@ def test_clean_frame_delivered_to_all_in_range():
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
     medium.register_listener(2)
     frame = data(0, 1)
-    tx = medium.begin_transmission(0, frame, 96)
+    medium.begin_transmission(0, frame, 96)
     sim.run_until(96)
-    assert tx.corrupted == set()
+    assert corrupted(medium)[0] == ()
     assert frames_at(recorders[1]) == [frame]
     assert frames_at(recorders[2]) == [frame]
 
@@ -150,53 +161,49 @@ def test_clean_frame_delivered_to_all_in_range():
 def test_receiver_beyond_tx_range_not_decodable():
     sim, medium, recorders = make_medium([(0.0, 0.0), (300.0, 0.0)])
     medium.register_listener(1)
-    tx = medium.begin_transmission(0, data(0, 1), 96)
+    medium.begin_transmission(0, data(0, 1), 96)
     sim.run_until(96)
-    assert tx.corrupted == set()   # not corrupted: out of decoding range
+    assert corrupted(medium)[0] == ()   # not corrupted: out of decoding range
     assert frames_at(recorders[1]) == []
 
 
 def test_overlapping_frames_corrupt_common_receiver():
     sim, medium, recorders = make_medium([(0.0, 0.0), (200.0, 0.0), (100.0, 10.0)])
-    tx_a = medium.begin_transmission(0, data(0, 2), 96)
-    tx_b = medium.begin_transmission(1, data(1, 2), 96)
+    medium.begin_transmission(0, data(0, 2), 96)
+    medium.begin_transmission(1, data(1, 2), 96)
     sim.run_until(200)
-    assert 2 in tx_a.corrupted
-    assert 2 in tx_b.corrupted
+    assert 2 in corrupted(medium)[0]
+    assert 2 in corrupted(medium)[1]
     assert frames_at(recorders[2]) == []
 
 
 def test_one_microsecond_overlap_still_corrupts():
     sim, medium, recorders = make_medium([(0.0, 0.0), (200.0, 0.0), (100.0, 10.0)])
-    tx_a = medium.begin_transmission(0, data(0, 2), 96)
-    holder = {}
-    sim.schedule(95, lambda: holder.update(
-        tx_b=medium.begin_transmission(1, data(1, 2), 96)))
+    medium.begin_transmission(0, data(0, 2), 96)
+    sim.schedule(95, lambda: medium.begin_transmission(1, data(1, 2), 96))
     sim.run_until(300)
-    assert 2 in tx_a.corrupted
-    assert 2 in holder["tx_b"].corrupted
+    assert 2 in corrupted(medium)[0]
+    assert 2 in corrupted(medium)[1]
     assert frames_at(recorders[2]) == []
 
 
 def test_back_to_back_frames_do_not_corrupt():
     sim, medium, recorders = make_medium([(0.0, 0.0), (200.0, 0.0), (100.0, 10.0)])
     frame_a, frame_b = data(0, 2), data(1, 2)
-    tx_a = medium.begin_transmission(0, frame_a, 96)
-    holder = {}
-    sim.schedule(96, lambda: holder.update(
-        tx_b=medium.begin_transmission(1, frame_b, 96)))
+    medium.begin_transmission(0, frame_a, 96)
+    sim.schedule(96, lambda: medium.begin_transmission(1, frame_b, 96))
     sim.run_until(300)
-    assert 2 not in tx_a.corrupted
-    assert 2 not in holder["tx_b"].corrupted
+    assert 2 not in corrupted(medium)[0]
+    assert 2 not in corrupted(medium)[1]
     assert frames_at(recorders[2]) == [frame_a, frame_b]
 
 
 def test_half_duplex_receiver_transmitting_is_corrupted():
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0)])
-    tx_a = medium.begin_transmission(0, data(0, 1), 96)
+    medium.begin_transmission(0, data(0, 1), 96)
     medium.begin_transmission(1, MacFrame(ACK, 1, 0), 19)
     sim.run_until(200)
-    assert 1 in tx_a.corrupted
+    assert 1 in corrupted(medium)[0]
     assert frames_at(recorders[1]) == []
 
 
@@ -205,11 +212,44 @@ def test_hidden_transmitter_does_not_corrupt_far_receiver():
     sim, medium, recorders = make_medium(
         [(0.0, 0.0), (100.0, 0.0), (700.0, 0.0), (800.0, 0.0)])
     frame = data(0, 1)
-    tx_a = medium.begin_transmission(0, frame, 96)
+    medium.begin_transmission(0, frame, 96)
     medium.begin_transmission(2, data(2, 3), 96)
     sim.run_until(200)
-    assert 1 not in tx_a.corrupted
+    assert 1 not in corrupted(medium)[0]
     assert frames_at(recorders[1]) == [frame]
+
+
+def test_third_overlap_spoils_receiver_that_senses_only_it():
+    # 0 -> 1 overlaps 2 and then 3.  2 reaches listener 4 (500 m) but not
+    # receiver 1 (800 m); 3 reaches 1 (400 m) but not 4 (700 m): both
+    # overlaps spoil a receiver of 0, each a different one
+    sim, medium, recorders = make_medium(
+        [(0.0, 0.0), (100.0, 0.0), (-700.0, 0.0), (500.0, 0.0), (-200.0, 0.0)])
+    medium.register_listener(4)
+    medium.begin_transmission(0, data(0, 1), 96)
+    sim.schedule(10, lambda: medium.begin_transmission(2, data(2, 2), 96))
+    sim.schedule(20, lambda: medium.begin_transmission(3, data(3, 3), 96))
+    sim.run_until(200)
+    assert ends(medium)[0] == ((), (1, 4))
+    assert frames_at(recorders[1]) == []
+    assert frames_at(recorders[4]) == []
+
+
+def test_overlap_splits_overhearers_by_its_carrier_sense_range():
+    # 0 -> 1 with listeners 2 and 3 in range; 4 senses 2 (500 m) but
+    # neither 3 (900 m) nor 1 (707 m)
+    sim, medium, recorders = make_medium(
+        [(0.0, 0.0), (0.0, 100.0), (200.0, 0.0), (-200.0, 0.0), (700.0, 0.0)])
+    medium.register_listener(2)
+    medium.register_listener(3)
+    frame = data(0, 1)
+    medium.begin_transmission(0, frame, 96)
+    sim.schedule(50, lambda: medium.begin_transmission(4, data(4, 4), 96))
+    sim.run_until(200)
+    assert ends(medium)[0] == ((1, 3), (2,))
+    assert frames_at(recorders[1]) == [frame]
+    assert frames_at(recorders[2]) == []
+    assert frames_at(recorders[3]) == [frame]
 
 
 def test_source_does_not_receive_own_frame():
