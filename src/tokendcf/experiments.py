@@ -48,10 +48,15 @@ class ScenarioConfig:
             raise ConfigError("n_transmitters must be >= 1")
         if self.area_side <= 0:
             raise ConfigError("area_side must be positive")
-        if self.duration_s <= 0:
-            raise ConfigError("duration must be positive")
+        if not self.duration_s > 0 or self.horizon_us < 1:
+            raise ConfigError(f"duration must round to at least 1 us, not {self.duration_s!r} s")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+
+    @property
+    def horizon_us(self):
+        """The run length in whole microseconds of virtual time."""
+        return round(self.duration_s * 1e6)
 
     @property
     def packet_size(self):
@@ -221,7 +226,7 @@ class Simulation:
     def run(self):
         for src in self.sources:
             src.start()
-        horizon = int(round(self.config.duration_s * 1e6))
+        horizon = self.config.horizon_us
         self.sim.run_until(horizon)
         return summarize(self.metrics, horizon, self.config.phy.slot_time)
 
@@ -296,9 +301,7 @@ def run_sweep(base_config, param, values, out_dir=None):
     return [row for _, row in rows]
 
 
-CSV_COLUMNS = ("scenario_id", "protocol", "n_tx", "area", "pkt_size", "run",
-               "throughput_bps", "access_delay_us", "idle_slots",
-               "collision_freq", "drops")
+CSV_COLUMNS = ("scenario_id", "protocol", "n_tx", "area", "pkt_size", "run") + _METRIC_FIELDS
 
 
 def write_csv(path, rows):

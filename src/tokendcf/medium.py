@@ -31,9 +31,11 @@ the heap's idle period, and a SIFS-privileged access; a busy edge freezes
 them by the same rule, counted from their own start.  Stations draw their
 backoffs but never count them: a frozen solo station, a busy-channel joiner
 and a heap member granted privilege while frozen get ``on_channel_idle(slots)``
-at the idle edge, with the slots left (None keeps the plan).  One wake-up
-event sits at the earliest fire time over all group heads and solo
-stations, which is far cheaper than one timer per station.
+at the idle edge, with the slots left (None keeps the plan).  One index maps
+each idle group with a waiter to its earliest fire time, over its heap head
+and its solo stations; a busy edge drops the group from it.  One wake-up
+event sits at the index's minimum, which is far cheaper than one timer per
+station.
 """
 
 import math
@@ -103,12 +105,12 @@ class _Group:
         self.epoch = 0        # when the heap's members started counting idle time
         self.offset = 0       # slots consumed since the group was formed
         self.heap = []        # (slots left + offset, sid): backoffs counting from epoch
-        self.solo = {}        # sid -> (start, slots or None), counting on its own fire time
+        self.solo = {}        # sid -> (fire time, start, slots or None), counting on its own
         self.frozen = []      # (sid, slots left or None) to call back at the next idle edge
 
 
 class Medium:
-    def __init__(self, sim, positions, metrics=None, trace=None, phy=None):
+    def __init__(self, sim, positions, metrics, trace=None, phy=None):
         self.sim = sim
         self.metrics = metrics
         # list for (t, "tx", src, kind, end, dst) and (t, "end", src, kind,
@@ -130,7 +132,6 @@ class Medium:
         self._listeners = set()
         self._overhear = [[] for _ in range(n)]  # per-src sorted listener lists
         # channel-wide busy bookkeeping for the idle-gap metric
-        self._global_active = 0
         self._busy_start = 0
         self._last_busy_end = 0
         self._last_gap = 0
@@ -138,8 +139,7 @@ class Medium:
         self._groups = {}                # frozenset(cs_set) -> _Group
         self._group_of = [None] * n      # sid -> _Group once subscribed
         self._hit = [[] for _ in range(n)]   # src -> groups that sense it
-        self._heads = {}         # idle group with a non-empty heap -> head fire time
-        self._solo = {}          # solo sid -> absolute fire time
+        self._fire = {}          # idle group with a waiter -> its earliest fire time
         self._wake_entry = None
         self._wake_at = _INF
 
@@ -213,18 +213,19 @@ class Medium:
         if aligned:
             group.epoch = now
             heappush(group.heap, (slots + group.offset, sid))
-            self._heads[group] = self._head_time(group)
         else:
-            self._solo[sid] = fire_at
-            group.solo[sid] = (now, slots)
+            group.solo[sid] = (fire_at, now, slots)
+        # an idle edge indexes afresh in _resume, after its stations register
+        if fire_at < self._fire.get(group, _INF):
+            self._fire[group] = fire_at
         if fire_at < self._wake_at:
             self._set_wake(fire_at)
 
     def withdraw_access(self, sid):
         """Hold a frozen access for the idle edge, taking it out of the heap.
 
-        Only while the group is busy, or while it hands out the frame that
-        ends its busy period, before its counts restart.  The station's
+        Only while the group is busy or, before ``_resume``, at its idle edge:
+        the fire-time index never holds the group then.  The station's
         ``on_channel_idle(slots)`` is called at the (next) idle edge.
         """
         group = self._group_of[sid]
@@ -237,19 +238,16 @@ class Medium:
             return
         group.heap.remove(entry)
         heapify(group.heap)
-        if not group.heap:
-            self._heads.pop(group, None)
         group.frozen.append((sid, max(entry[0] - group.offset, 0)))
 
     def _freeze(self, group, now):
         """Busy edge of a group with waiters: stop every count in it."""
         # the stale wake stays: re-arming it here reorders same-instant events and changes traces
+        self._fire.pop(group, None)
         if group.heap:
             group.offset += self._counted(group.epoch, now)
-            self._heads.pop(group, None)
         if group.solo:
-            for sid, (start, slots) in group.solo.items():
-                del self._solo[sid]
+            for sid, (_fire_at, start, slots) in group.solo.items():
                 if slots is not None:
                     slots = max(slots - self._counted(start, now), 0)
                 group.frozen.append((sid, slots))
@@ -266,15 +264,23 @@ class Medium:
             frozen, group.frozen = group.frozen, []
             for sid, slots in frozen:
                 self.stations[sid].on_channel_idle(slots)
-        if group.heap:
-            head_at = self._head_time(group)
-            self._heads[group] = head_at
-            if head_at < self._wake_at:
-                self._set_wake(head_at)
+        # its solo waits all started at this edge and armed the wake already
+        fire_at = self._index(group)
+        if fire_at < self._wake_at:
+            self._set_wake(fire_at)
 
-    def _head_time(self, group):
-        """Fire time of the first backoff in a group's heap, counted from its epoch."""
-        return group.epoch + self._difs + (group.heap[0][0] - group.offset) * self._slot
+    def _index(self, group):
+        """Index an idle group under its earliest fire time, or drop it if nobody waits."""
+        heap = group.heap
+        at = group.epoch + self._difs + (heap[0][0] - group.offset) * self._slot if heap else _INF
+        for fire_at, _start, _slots in group.solo.values():
+            if fire_at < at:
+                at = fire_at
+        if at < _INF:
+            self._fire[group] = at
+        else:
+            self._fire.pop(group, None)
+        return at
 
     def _set_wake(self, at):
         if self._wake_entry is not None:
@@ -286,21 +292,19 @@ class Medium:
         self._wake_entry = None
         self._wake_at = _INF
         now = self.sim.now
-        solo = self._solo
-        due = [sid for sid, at in solo.items() if at <= now] if solo else []
-        for sid in due:
-            del solo[sid]
-            del self._group_of[sid].solo[sid]
-        heads = self._heads
-        for group in [g for g, at in heads.items() if at <= now]:
+        fire = self._fire
+        due = []
+        for group in [g for g, at in fire.items() if at <= now]:
+            solo = group.solo
+            if solo:
+                for sid in [sid for sid, entry in solo.items() if entry[0] <= now]:
+                    del solo[sid]
+                    due.append(sid)
             heap = group.heap
             counted = (now - group.epoch - self._difs) // self._slot
             while heap and heap[0][0] - group.offset <= counted:
                 due.append(heappop(heap)[1])
-            if heap:
-                heads[group] = self._head_time(group)
-            else:
-                del heads[group]
+            self._index(group)
         # all stations due at the same instant transmit together
         # (slot-synchronized collision), even though the first handoff
         # flips the channel busy for the rest
@@ -308,8 +312,8 @@ class Medium:
         stations = self.stations
         for sid in due:
             stations[sid].fire_access()
-        if heads or solo:
-            nxt = min(min(heads.values(), default=_INF), min(solo.values(), default=_INF))
+        if fire:
+            nxt = min(fire.values())
             if nxt < self._wake_at:
                 self._set_wake(nxt)
 
@@ -335,18 +339,16 @@ class Medium:
                     tx.overlaps.append(other_cs)
                 if not my_cs.isdisjoint(tx_nb[other.src]):
                     other.overlaps.append(my_cs)
-        self._active[src] = tx
 
         # channel-wide idle gap: logged per access that begins a busy period
-        if self._global_active == 0:
+        if not self._active:
             self._last_gap = now - self._last_busy_end
             self._busy_start = now
-            if self.metrics is not None:
-                self.metrics.idle_gaps.append(self._last_gap)
-        elif self._busy_start == now and self.metrics is not None:
+            self.metrics.idle_gaps.append(self._last_gap)
+        elif self._busy_start == now:
             # same-instant co-starter saw the same idle gap
             self.metrics.idle_gaps.append(self._last_gap)
-        self._global_active += 1
+        self._active[src] = tx
 
         for group in self._hit[src]:
             if group.busy:
@@ -366,10 +368,8 @@ class Medium:
         del self._active[src]
         now = self.sim.now
 
-        self._global_active -= 1
-        if self._global_active == 0:
-            if self.metrics is not None:
-                self.metrics.busy_time += now - self._busy_start
+        if not self._active:
+            self.metrics.busy_time += now - self._busy_start
             self._last_busy_end = now
 
         # groups that go idle restart their counts once the frame is handed

@@ -85,8 +85,7 @@ class TokenScheduler:
         if total >= self.params.max_num:
             ratio = self.success / total
             if ratio >= self.params.max_ratio:
-                if self.p <= self.params.max_p:
-                    self.p = min(self.p + self.params.delta, self.params.max_p)
+                self.p = min(self.p + self.params.delta, self.params.max_p)
                 self.success = 0
                 self.fail = 0
             if ratio <= self.params.min_ratio:

@@ -122,10 +122,14 @@ def test_unknown_key_rejected_with_name():
     ("area_side", lambda: apply_sweep_value(short_config(), "area_side", float("inf"))),
     # a sweep value the parameter set rejects is a config error too
     ("packet_size", lambda: apply_sweep_value(short_config(), "packet_size", 0)),
+    # virtual time runs in whole microseconds: 0.4 us rounds to an empty run
+    ("duration", lambda: parse_config("[experiment]\nduration = 4e-7\n")),
+    ("duration", lambda: apply_sweep_value(short_config(), "duration_s", 4e-7)),
 ], ids=["cw_min-lots", "cw_min-16.9", "queue_capacity-2.5", "bit_rate-1e400",
         "sweep-n_transmitters-2.5", "sweep-n_transmitters-inf",
         "duration-nan", "period-nan", "rate-inf", "cs_range-nan",
-        "sweep-area_side-inf", "sweep-packet_size-0"])
+        "sweep-area_side-inf", "sweep-packet_size-0",
+        "duration-4e-7", "sweep-duration_s-4e-7"])
 def test_malformed_value_rejected(key, malformed):
     with pytest.raises(ConfigError, match=key):
         malformed()

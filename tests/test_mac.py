@@ -146,6 +146,18 @@ def test_mid_idle_joiner_counts_its_own_idle_time():
     assert first_tx(net, 0) == 200 + 28 + 8 * 9
 
 
+def test_heap_head_and_solo_backoff_due_together_collide():
+    # one wake serves both kinds of waiter in a group: 2 heads the heap
+    # (t=0, 10 slots: 28 + 10 * 9 = 118) and 0 joins mid-idle on its own
+    # fire time (t=9, 9 slots: 9 + 28 + 9 * 9 = 118)
+    net = contenders()
+    join_at(net, 2, 0, 10)
+    join_at(net, 0, 9, 9)
+    net.run(200)   # before the ACK timeout, which would draw again
+    assert first_tx(net, 2) == 118
+    assert first_tx(net, 0) == 118
+
+
 @pytest.mark.parametrize("cleared", [False, True])
 def test_grant_to_frozen_heap_backoff(cleared):
     # an overheard frame naming 0 arrives while its 20-slot backoff is

@@ -16,7 +16,7 @@ from conftest import Recorder, finished_frames
 
 def make_medium(positions, metrics=None):
     sim = Simulator()
-    medium = Medium(sim, positions, metrics, trace=[])
+    medium = Medium(sim, positions, metrics or Metrics(), trace=[])
     recorders = [Recorder(i, sim) for i in range(len(positions))]
     medium.bind(recorders)
     return sim, medium, recorders
