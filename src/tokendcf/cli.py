@@ -9,13 +9,18 @@ from .experiments import (ConfigError, load_config, run_scenario, run_sweep,
 
 
 def _parse_values(text):
+    """Sweep values from "a,b,...": integer literals exactly, others via float."""
     values = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
-        num = float(chunk)
-        values.append(int(num) if num.is_integer() else num)
+        try:
+            value = int(chunk)
+        except ValueError:
+            num = float(chunk)
+            value = int(num) if num.is_integer() else num
+        values.append(value)
     if not values:
         raise argparse.ArgumentTypeError("empty value list")
     return values

@@ -67,7 +67,7 @@ class ScenarioConfig:
 
 def _as_int(value):
     """An int from a whole, finite number or its text; ValueError otherwise."""
-    if isinstance(value, int) or (isinstance(value, str) and "e" not in value and "." not in value):
+    if isinstance(value, int) or (isinstance(value, str) and not any(c in value for c in ".eE")):
         return int(value)
     num = float(value)
     if not num.is_integer():   # also False for inf and nan

@@ -5,7 +5,9 @@ backoff in [0, CW], freezes the countdown while the channel is busy, and runs
 the DATA/ACK exchange with binary exponential backoff on ACK timeout.  When a
 token scheduler is attached, the access plan may collapse to a bare SIFS wait
 (privileged access) and every transmitted/decoded data frame feeds the
-scheduler state.
+scheduler state: the station registers the scheduler's ``on_receive_data``
+with the medium for overheard frames, and the scheduler calls the station's
+``on_grant`` when a decoded frame names it.
 """
 
 import logging
@@ -67,7 +69,8 @@ class Station:
         self.data_airtime = frame_airtime(self.data_header_bytes, payload_bytes, self.phy)
         self.ack_airtime = frame_airtime(mac.ack_header_bytes, 0, self.phy)
         if scheduler is not None:
-            medium.register_listener(sid)
+            scheduler.on_grant = self.on_grant
+            medium.register_listener(sid, scheduler.on_receive_data)
 
     # -- queueing ----------------------------------------------------------
 
@@ -141,23 +144,30 @@ class Station:
     # -- reception ---------------------------------------------------------
 
     def on_frame(self, frame):
-        """A frame was delivered (decoded) at this station."""
+        """A frame was delivered (decoded) at this station.
+
+        The medium calls it for frames addressed here; a token station's
+        overheard data frames go from the medium to its scheduler directly.
+        """
         if frame.kind == ACK:
             if frame.dst == self.sid and self.phase == AWAIT_ACK:
                 self._ack_received()
             else:
                 log.debug("station %d: unexpected ack from %d ignored", self.sid, frame.src)
             return
-        if self.scheduler is not None and frame.src != self.sid:
+        if self.scheduler is not None:
             self.scheduler.on_receive_data(frame)
-            if self.scheduler.flag and self.registered:
-                # granted while its access is frozen: plan a SIFS access at
-                # the idle edge, which hands back the slots left
-                self.medium.withdraw_access(self.sid)
-                self.registered = False
         if frame.dst == self.sid:
             src = frame.src
             self.sim.schedule(self.phy.sifs, lambda: self._send_ack(src))
+
+    def on_grant(self):
+        """A decoded data frame, addressed or overheard, named this station privileged."""
+        if self.registered:
+            # granted while its access is frozen: plan a SIFS access at the
+            # idle edge, which hands back the slots left
+            self.medium.withdraw_access(self.sid)
+            self.registered = False
 
     def _send_ack(self, dst):
         # ``phase`` tracks the station's own data and is left alone here: a

@@ -4,7 +4,9 @@ The interference rule is the protocol model: a receiver decodes a frame only
 if it sits within tx_range of the source and no other transmission from
 within the receiver's cs_range overlapped the frame (any overlap corrupts,
 no capture effect).  A station that transmits itself during the overlap is
-corrupted too (half-duplex).  Propagation delay is zero.
+corrupted too (half-duplex).  Propagation delay is zero.  A decoded frame goes
+to the addressed station's ``on_frame``; a decoded DATA frame also goes to the
+``on_data`` callback of every other station that registered as a listener.
 
 Collisions are recorded as overlaps, not as receivers.  When a frame starts,
 it and each frame still on the air record each other's source cs_set, each
@@ -128,9 +130,10 @@ class Medium:
 
         self.stations = {}       # sid -> station object, bound via bind()
         self._active = {}        # src -> ActiveTransmission
-        # stations that want delivered data frames they are not addressed by
+        # stations that take decoded data frames addressed to others
         self._listeners = set()
-        self._overhear = [[] for _ in range(n)]  # per-src sorted listener lists
+        # src -> (listener sid, on_data) of its tx neighbours, by sid
+        self._overhear = [[] for _ in range(n)]
         # channel-wide busy bookkeeping for the idle-gap metric
         self._busy_start = 0
         self._last_busy_end = 0
@@ -167,13 +170,19 @@ class Medium:
         self._group_of[sid] = group
         return group
 
-    def register_listener(self, sid):
-        """Request delivery of every decodable data frame (overhearing)."""
+    def register_listener(self, sid, on_data):
+        """Hand ``on_data(frame)`` every data frame ``sid`` decodes but is not addressed by.
+
+        Overhearing: the callback is called once per such frame, in
+        ascending listener id, right after the addressed receiver's
+        ``on_frame``.  A station registers once.
+        """
         if sid in self._listeners:
-            return
+            raise MediumError(f"station {sid} already listens")
         self._listeners.add(sid)
+        entry = (sid, on_data)
         for src in self.tx_nb[sid]:   # tx range is symmetric
-            insort(self._overhear[src], sid)
+            insort(self._overhear[src], entry)
 
     # -- sensing ----------------------------------------------------------
 
@@ -392,7 +401,7 @@ class Medium:
         overhear = self._overhear[src] if frame.kind == 0 else ()
         if len(overlaps) > 1:
             # several overlaps: their union, over the receivers the frame is handed to
-            spoiled = {r for cs in overlaps for r in overhear if r in cs}
+            spoiled = {r for cs in overlaps for r, _on_data in overhear if r in cs}
             spoiled.update(dst for cs in overlaps if dst in cs)
         else:
             spoiled = overlaps[0] if overlaps else ()
@@ -403,9 +412,9 @@ class Medium:
             stations[dst].on_frame(frame)
             if delivered_to is not None:
                 delivered_to.append(dst)
-        for r in overhear:
+        for r, on_data in overhear:
             if r != dst and r not in spoiled:
-                stations[r].on_frame(frame)
+                on_data(frame)
                 if delivered_to is not None:
                     delivered_to.append(r)
         if trace is not None:

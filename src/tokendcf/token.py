@@ -4,16 +4,22 @@ Every data frame a station sends names at most one privileged station (drawn
 with probability p from the stations whose frames it decoded this period,
 picking the longest queue).  Every link runs at one bit rate, so single-hop
 backpressure, which weighs queue length by link rate, picks the same station.  Decoding a
-frame that names you sets your flag, and a set flag turns the next channel
-access into a bare SIFS wait.  The Adapt controller moves p up or down by
-delta depending on how many transmissions came from already-known stations.
+frame that names you sets your flag and calls ``on_grant``, which the station
+installs so that the grant reaches an access it has already planned; a set
+flag turns the next channel access into a bare SIFS wait.  The Adapt
+controller moves p up or down by delta depending on how many transmissions
+came from already-known stations.
 """
+
+
+def _no_station():
+    """``on_grant`` of a scheduler no station has installed itself on."""
 
 
 class TokenScheduler:
     __slots__ = (
         "sid", "sim", "params", "rng",
-        "p", "active", "success", "fail", "flag", "q_len_map",
+        "p", "active", "success", "fail", "flag", "q_len_map", "on_grant",
     )
 
     def __init__(self, sid, sim, params, rng):
@@ -27,6 +33,7 @@ class TokenScheduler:
         self.active = {sid}
         self.success = 0
         self.fail = 0
+        self.on_grant = _no_station   # called when a decoded data frame names sid
         sim.schedule(params.period_us, self._period_reset)
 
     def _period_reset(self):
@@ -66,9 +73,12 @@ class TokenScheduler:
 
     def on_receive_data(self, frame):
         """Runs for every decoded data frame, addressed or overheard."""
-        self.flag = 1 if frame.privileged == self.sid else 0
+        granted = frame.privileged == self.sid
+        self.flag = 1 if granted else 0
         self.adapt(frame.src)
         self.q_len_map[frame.src] = frame.q_len
+        if granted:
+            self.on_grant()
 
     def on_timer_expired(self):
         self.flag = 0

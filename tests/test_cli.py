@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from tokendcf import parse_config
-from tokendcf.cli import main
+from tokendcf.cli import _parse_values, main
 
 GOOD_CONFIG = """
 [experiment]
@@ -68,6 +68,18 @@ def test_sweep_writes_csv_and_plot_data(config_file, tmp_path):
     assert (out / "results.csv").exists()
     assert (out / "throughput_bps_dcf.dat").exists()
     assert (out / "throughput_bps_token_dcf.dat").exists()
+
+
+def test_sweep_values_keep_large_integers_exact(config_file, tmp_path):
+    # 2**53 + 1 and 12345678901234567890 have no exact float
+    assert _parse_values("9007199254740993,12345678901234567890,3") == \
+        [9007199254740993, 12345678901234567890, 3]
+    assert _parse_values("1e3, 2.0,0.5") == [1000, 2, 0.5]
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", config_file, "--param", "seed",
+                 "--values", "9007199254740993", "--out", str(out)]) == 0
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert rows and all(row.startswith("seed=9007199254740993,") for row in rows)
 
 
 def test_sweep_rejects_infinite_count(config_file, tmp_path, capsys):

@@ -105,11 +105,17 @@ def test_unknown_key_rejected_with_name():
         parse_config("[phy]\njitter = 5\n")
 
 
+@pytest.mark.parametrize("text", ["1e1", "1E1", "10.0"])
+def test_integer_setting_accepts_whole_number_spellings(text):
+    assert parse_config(f"[experiment]\nn_transmitters = {text}\n").n_transmitters == 10
+
+
 @pytest.mark.parametrize("key, malformed", [
     ("cw_min", lambda: parse_config("[mac]\ncw_min = lots\n")),
     # integer settings must be whole and finite, in a file and in a sweep
     ("cw_min", lambda: parse_config("[mac]\ncw_min = 16.9\n")),
     ("queue_capacity", lambda: parse_config("[mac]\nqueue_capacity = 2.5\n")),
+    ("queue_capacity", lambda: parse_config("[mac]\nqueue_capacity = 2.5E0\n")),
     ("bit_rate", lambda: parse_config("[phy]\nbit_rate = 1e400\n")),
     ("n_transmitters", lambda: apply_sweep_value(short_config(), "n_transmitters", 2.5)),
     ("n_transmitters",
@@ -125,7 +131,8 @@ def test_unknown_key_rejected_with_name():
     # virtual time runs in whole microseconds: 0.4 us rounds to an empty run
     ("duration", lambda: parse_config("[experiment]\nduration = 4e-7\n")),
     ("duration", lambda: apply_sweep_value(short_config(), "duration_s", 4e-7)),
-], ids=["cw_min-lots", "cw_min-16.9", "queue_capacity-2.5", "bit_rate-1e400",
+], ids=["cw_min-lots", "cw_min-16.9", "queue_capacity-2.5", "queue_capacity-2.5E0",
+        "bit_rate-1e400",
         "sweep-n_transmitters-2.5", "sweep-n_transmitters-inf",
         "duration-nan", "period-nan", "rate-inf", "cs_range-nan",
         "sweep-area_side-inf", "sweep-packet_size-0",

@@ -182,6 +182,27 @@ def test_grant_to_frozen_heap_backoff(cleared):
             assert st.sifs_plan
 
 
+def test_addressed_grant_to_frozen_backoff():
+    # 0 <-> 1: 0's frame to 1 names 1 while 1's 20-slot backoff, joined at
+    # t=0, is frozen.  1 ACKs it a SIFS after it ends, and its next access
+    # is a bare SIFS wait after that ACK, not the 20 slots
+    net = Network([(0.0, 0.0), (100.0, 0.0)], [(0, 1), (1, 0)],
+                  protocol="token_dcf", trace=True)
+    sched = net.stations[0].scheduler
+    sched.p = 1.0                  # always grant, to 1's advertised queue
+    sched.active.add(1)
+    sched.q_len_map[1] = 50
+    st0 = join_at(net, 0, 0, 0)
+    st1 = join_at(net, 1, 0, 20, 99)
+    net.run(2000)
+    data_end = 28 + st0.data_airtime
+    ack_end = data_end + 10 + st1.ack_airtime
+    sent = [(t, src, fkind) for t, kind, src, fkind, *_ in net.trace if kind == "tx"]
+    assert sent[:3] == [(28, 0, DATA), (data_end + 10, 1, ACK), (ack_end + 10, 1, DATA)]
+    assert st1.sifs_plan
+    assert st1.rng.slots == [99]
+
+
 # -- contention window ladder -----------------------------------------------
 
 def test_cw_doubles_on_timeout_up_to_max():
@@ -261,7 +282,7 @@ def test_access_delay_recorded_per_delivered_packet():
 def test_sink_sends_no_ack_for_foreign_destination():
     # 0 -> 1; station 2 also decodes the frame but must stay silent
     net = Network([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)], [(0, 1)], trace=True)
-    net.medium.register_listener(2)
+    net.medium.register_listener(2, net.stations[2].on_frame)
     net.saturate().run(5_000)
     ack_srcs = {src for _, kind, src, fkind, *_ in net.trace
                 if kind == "tx" and fkind == ACK}

@@ -149,7 +149,7 @@ def test_recorder_stub_has_the_station_callbacks():
 
 def test_clean_frame_delivered_to_all_in_range():
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
-    medium.register_listener(2)
+    medium.register_listener(2, recorders[2].on_frame)
     frame = data(0, 1)
     medium.begin_transmission(0, frame, 96)
     sim.run_until(96)
@@ -160,7 +160,7 @@ def test_clean_frame_delivered_to_all_in_range():
 
 def test_receiver_beyond_tx_range_not_decodable():
     sim, medium, recorders = make_medium([(0.0, 0.0), (300.0, 0.0)])
-    medium.register_listener(1)
+    medium.register_listener(1, recorders[1].on_frame)
     medium.begin_transmission(0, data(0, 1), 96)
     sim.run_until(96)
     assert corrupted(medium)[0] == ()   # not corrupted: out of decoding range
@@ -225,7 +225,7 @@ def test_third_overlap_spoils_receiver_that_senses_only_it():
     # overlaps spoil a receiver of 0, each a different one
     sim, medium, recorders = make_medium(
         [(0.0, 0.0), (100.0, 0.0), (-700.0, 0.0), (500.0, 0.0), (-200.0, 0.0)])
-    medium.register_listener(4)
+    medium.register_listener(4, recorders[4].on_frame)
     medium.begin_transmission(0, data(0, 1), 96)
     sim.schedule(10, lambda: medium.begin_transmission(2, data(2, 2), 96))
     sim.schedule(20, lambda: medium.begin_transmission(3, data(3, 3), 96))
@@ -240,8 +240,8 @@ def test_overlap_splits_overhearers_by_its_carrier_sense_range():
     # neither 3 (900 m) nor 1 (707 m)
     sim, medium, recorders = make_medium(
         [(0.0, 0.0), (0.0, 100.0), (200.0, 0.0), (-200.0, 0.0), (700.0, 0.0)])
-    medium.register_listener(2)
-    medium.register_listener(3)
+    medium.register_listener(2, recorders[2].on_frame)
+    medium.register_listener(3, recorders[3].on_frame)
     frame = data(0, 1)
     medium.begin_transmission(0, frame, 96)
     sim.schedule(50, lambda: medium.begin_transmission(4, data(4, 4), 96))
@@ -254,7 +254,7 @@ def test_overlap_splits_overhearers_by_its_carrier_sense_range():
 
 def test_source_does_not_receive_own_frame():
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0)])
-    medium.register_listener(0)
+    medium.register_listener(0, recorders[0].on_frame)
     medium.begin_transmission(0, data(0, 1), 96)
     sim.run_until(100)
     medium.begin_transmission(0, data(0, 0), 96)   # addressed to itself
@@ -283,11 +283,18 @@ def test_addressed_frame_dispatched_to_receiver_mac():
 
 def test_listener_overhears_data_frames():
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
-    medium.register_listener(2)
+    medium.register_listener(2, recorders[2].on_frame)
     frame = data(0, 1)
     medium.begin_transmission(0, frame, 96)
     sim.run_until(96)
     assert [f for _, kind, f in recorders[2].events if kind == "frame"] == [frame]
+
+
+def test_listener_registers_once():
+    _, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0)])
+    medium.register_listener(1, recorders[1].on_frame)
+    with pytest.raises(MediumError):
+        medium.register_listener(1, recorders[1].on_frame)
 
 
 # -- idle gap metric --------------------------------------------------------
