@@ -11,9 +11,9 @@ one printed on failure, and says so in CHANGES.md.
 
 import hashlib
 
-from tokendcf import ScenarioConfig, Simulation, TrafficSpec, derive_seed
+from tokendcf import ScenarioConfig, Simulation, TrafficSpec, derive_seed, summarize
 
-from conftest import finished_frames
+from conftest import Network, finished_frames
 
 PARETO = TrafficSpec(kind="pareto_on_off", packet_size=1500, rate_bps=1e6)
 
@@ -48,7 +48,11 @@ def run_digest(config, run_index):
     """sha256 (first 16 hex digits) of one run's trace, frame log and report."""
     trace = []
     sim = Simulation(config, derive_seed(config.seed, run_index), trace=trace)
-    report = sim.run()
+    return trace_digest(trace, sim.run())
+
+
+def trace_digest(trace, report):
+    """sha256 (first 16 hex digits) of a trace, its frame log and a report."""
     digest = hashlib.sha256()
     # the pinned layout: "end" records without the corrupted set
     digest.update(repr([rec[:5] if rec[1] == "end" else rec for rec in trace]).encode())
@@ -104,3 +108,20 @@ def test_golden_traces_unchanged():
         raise AssertionError(
             f"{len(changed)} of {len(got)} golden traces differ: {changed}\n"
             f"new digests:\nGOLDEN = {{\n{table}}}")
+
+
+# Saturated two-way token flows, 0 <-> 1 and 2 <-> 3 in a 150 m square: the
+# one case where addressed DATA frames reach token schedulers (every
+# scenario above sends to sinks, which have none).
+TWO_WAY = [(0.0, 0.0), (100.0, 0.0), (0.0, 150.0), (100.0, 150.0)]
+TWO_WAY_FLOWS = [(0, 1), (1, 0), (2, 3), (3, 2)]
+TWO_WAY_HORIZON_US = 50_000
+TWO_WAY_GOLDEN = '94a08e89f4325f98'
+
+
+def test_two_way_token_trace_unchanged():
+    net = Network(TWO_WAY, TWO_WAY_FLOWS, protocol="token_dcf", trace=True)
+    net.saturate().run(TWO_WAY_HORIZON_US)
+    report = summarize(net.metrics, TWO_WAY_HORIZON_US, net.phy.slot_time)
+    assert all(st.delivered > 0 for st in net.stations)
+    assert trace_digest(net.trace, report) == TWO_WAY_GOLDEN
