@@ -3,6 +3,14 @@
 All simulation time is kept in integer microseconds so that slot/SIFS/DIFS
 arithmetic stays exact.  Event delivery order is the strict total order
 (fire_at, seq), which makes every run reproducible for a fixed seed.
+
+Beside the event heap the simulator keeps one alarm: a single callback at a
+single time that its owner moves again and again (the medium's contention
+wake-up).  Setting it takes the next ``seq``, exactly as ``schedule`` would,
+and setting it again replaces it, so moving it leaves no cancelled entry in
+the heap.  The loop fires whichever of the heap's first entry and the alarm
+comes first by (fire_at, seq), so the delivery order is the one the alarm
+would have as a heap entry.
 """
 
 import hashlib
@@ -19,15 +27,16 @@ class Simulator:
 
     ``schedule`` returns a handle usable with ``cancel``.  Cancelled events
     never fire; cancelling an already-fired (or already-cancelled) event
-    returns False.
+    returns False.  ``set_alarm`` (re)sets the one alarm.
     """
 
-    __slots__ = ("now", "_heap", "_seq")
+    __slots__ = ("now", "_heap", "_seq", "_alarm")
 
     def __init__(self):
         self.now = 0
         self._heap = []
         self._seq = 0
+        self._alarm = None   # [fire_at, seq, callback] while pending, else None
 
     def schedule(self, delay, callback):
         if delay < 0:
@@ -43,17 +52,39 @@ class Simulator:
         entry[2] = None
         return True
 
+    def set_alarm(self, at, callback):
+        """Call ``callback`` at virtual time ``at``, replacing any pending alarm."""
+        if at < self.now:
+            raise SimError(f"alarm in the past: {at} < {self.now}")
+        self._alarm = [at, self._seq, callback]
+        self._seq += 1
+
     def run_until(self, t_end):
+        """Fire every event and alarm due by ``t_end``; returns how many fired.
+
+        Virtual time then stands at ``t_end``; later ones stay pending.
+        """
         if t_end < self.now:
             raise SimError("t_end precedes current virtual time")
         heap = self._heap
         fired = 0
-        while heap and heap[0][0] <= t_end:
-            entry = heappop(heap)
-            cb = entry[2]
-            if cb is None:
-                continue
-            entry[2] = None
+        while True:
+            alarm = self._alarm
+            # lists compare by (fire_at, seq), and no two seqs are equal
+            if heap and (alarm is None or heap[0] < alarm):
+                if heap[0][0] > t_end:
+                    break
+                entry = heappop(heap)
+                cb = entry[2]
+                if cb is None:
+                    continue
+                entry[2] = None
+            elif alarm is not None and alarm[0] <= t_end:
+                self._alarm = None
+                entry = alarm
+                cb = alarm[2]
+            else:
+                break
             self.now = entry[0]
             cb()
             fired += 1

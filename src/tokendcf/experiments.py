@@ -4,7 +4,6 @@ import configparser
 import csv
 import dataclasses
 import io
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -12,7 +11,7 @@ from .core import Simulator, derive_seed, substream
 from .mac import Station
 from .medium import Medium
 from .metrics import Metrics, summarize
-from .params import ConfigError, MacParams, PhyParams, TokenParams
+from .params import ConfigError, MacParams, PhyParams, TokenParams, require_finite
 from .token import TokenScheduler
 from .traffic import TrafficSpec, make_source
 
@@ -46,6 +45,7 @@ class ScenarioConfig:
             raise ConfigError(f"policy must be one of {POLICIES}")
         if self.n_transmitters < 1:
             raise ConfigError("n_transmitters must be >= 1")
+        require_finite(self, "area_side", "duration_s")
         if self.area_side <= 0:
             raise ConfigError("area_side must be positive")
         if not self.duration_s > 0 or self.horizon_us < 1:
@@ -75,14 +75,6 @@ def _as_int(value):
     return int(num)
 
 
-def _as_float(value):
-    """A finite float from a number or its text; ValueError otherwise."""
-    num = float(value)
-    if not math.isfinite(num):
-        raise ValueError(f"not a finite number: {value!r}")
-    return num
-
-
 def _convert(name, conv, value):
     try:
         return conv(value)
@@ -95,11 +87,12 @@ def _convert(name, conv, value):
 # except for the renamed keys below.
 _SECTIONS = {"phy": PhyParams, "mac": MacParams, "token": TokenParams,
              "traffic": TrafficSpec, "experiment": ScenarioConfig}
-_CONVERTERS = {int: _as_int, float: _as_float, str: str}
+# finiteness and ranges are checked by the parameter sets themselves
+_CONVERTERS = {int: _as_int, float: float, str: str}
 _RENAMED = {   # (section, field) -> (key, converter)
-    ("token", "period_us"): ("period", lambda v: round(_as_float(v) * 1e6)),   # seconds
-    ("traffic", "rate_bps"): ("rate", _as_float),
-    ("experiment", "duration_s"): ("duration", _as_float),
+    ("token", "period_us"): ("period", lambda v: round(float(v) * 1e6)),   # seconds
+    ("traffic", "rate_bps"): ("rate", float),
+    ("experiment", "duration_s"): ("duration", float),
 }
 
 

@@ -36,8 +36,10 @@ and a heap member granted privilege while frozen get ``on_channel_idle(slots)``
 at the idle edge, with the slots left (None keeps the plan).  One index maps
 each idle group with a waiter to its earliest fire time, over its heap head
 and its solo stations; a busy edge drops the group from it.  One wake-up
-event sits at the index's minimum, which is far cheaper than one timer per
-station.
+sits at the index's minimum, which is far cheaper than one timer per
+station.  It is the simulator's alarm, not a heap event: moving it (a new
+minimum, or the next one after a wake) replaces it and leaves no cancelled
+entry behind.
 """
 
 import math
@@ -143,8 +145,7 @@ class Medium:
         self._group_of = [None] * n      # sid -> _Group once subscribed
         self._hit = [[] for _ in range(n)]   # src -> groups that sense it
         self._fire = {}          # idle group with a waiter -> its earliest fire time
-        self._wake_entry = None
-        self._wake_at = _INF
+        self._wake_at = _INF     # when the wake-up alarm is set for; _INF once it fired
 
     # -- wiring -----------------------------------------------------------
 
@@ -251,7 +252,8 @@ class Medium:
 
     def _freeze(self, group, now):
         """Busy edge of a group with waiters: stop every count in it."""
-        # the stale wake stays: re-arming it here reorders same-instant events and changes traces
+        # the alarm stays at its stale time and may fire with nothing due:
+        # re-arming it here reorders same-instant events and changes traces
         self._fire.pop(group, None)
         if group.heap:
             group.offset += self._counted(group.epoch, now)
@@ -292,13 +294,10 @@ class Medium:
         return at
 
     def _set_wake(self, at):
-        if self._wake_entry is not None:
-            self.sim.cancel(self._wake_entry)
         self._wake_at = at
-        self._wake_entry = self.sim.schedule(at - self.sim.now, self._wake)
+        self.sim.set_alarm(at, self._wake)
 
     def _wake(self):
-        self._wake_entry = None
         self._wake_at = _INF
         now = self.sim.now
         fire = self._fire

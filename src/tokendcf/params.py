@@ -1,10 +1,18 @@
 """Protocol parameter sets with the 802.11g-style defaults used throughout."""
 
+import math
 from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
     pass
+
+
+def require_finite(params, *names):
+    """Raise ConfigError naming the first of ``params``' fields that is nan or infinite."""
+    for name in names:
+        if not math.isfinite(getattr(params, name)):
+            raise ConfigError(f"{name} must be finite, not {getattr(params, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -24,6 +32,7 @@ class PhyParams:
             raise ConfigError("phy intervals must be positive")
         if self.bit_rate <= 0:
             raise ConfigError("bit_rate must be positive")
+        require_finite(self, "tx_range", "cs_range")
         if self.tx_range <= 0 or self.cs_range <= 0:
             raise ConfigError("ranges must be positive")
         if self.tx_range > self.cs_range:

@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 
 from .core import draw_pareto
-from .params import ConfigError
+from .params import ConfigError, require_finite
 
 FULL_BUFFER = "full_buffer"
 PARETO_ON_OFF = "pareto_on_off"
@@ -24,6 +24,7 @@ class TrafficSpec:
             raise ConfigError(f"unknown traffic kind: {self.kind}")
         if self.packet_size <= 0:
             raise ConfigError("packet_size must be positive")
+        require_finite(self, "rate_bps", "on_mean_us", "off_mean_us", "shape")
         if self.kind == PARETO_ON_OFF:
             if self.rate_bps <= 0:
                 raise ConfigError("rate_bps must be positive")

@@ -91,6 +91,94 @@ def test_events_scheduled_during_run_are_delivered():
     assert fired == 3
 
 
+# -- the alarm ----------------------------------------------------------------
+
+def test_alarm_takes_its_place_in_seq_order_at_the_same_instant():
+    sim = Simulator()
+    order = []
+    sim.schedule(10, lambda: order.append("before"))
+    sim.set_alarm(10, lambda: order.append("alarm"))
+    sim.schedule(10, lambda: order.append("after"))
+    sim.run_until(10)
+    assert order == ["before", "alarm", "after"]
+
+
+@pytest.mark.parametrize("first, second", [(30, 15), (15, 30)])
+def test_setting_the_alarm_again_replaces_it(first, second):
+    sim = Simulator()
+    seen = []
+    sim.set_alarm(first, lambda: seen.append(("first", sim.now)))
+    sim.set_alarm(second, lambda: seen.append(("second", sim.now)))
+    assert sim.run_until(100) == 1
+    assert seen == [("second", second)]
+
+
+def test_alarm_fires_with_an_empty_heap():
+    sim = Simulator()
+    seen = []
+    sim.set_alarm(5, lambda: seen.append(sim.now))
+    assert sim.run_until(10) == 1
+    assert seen == [5]
+    assert sim.now == 10
+
+
+def test_alarm_past_t_end_stays_pending():
+    sim = Simulator()
+    seen = []
+    sim.set_alarm(50, lambda: seen.append(sim.now))
+    assert sim.run_until(49) == 0
+    assert seen == [] and sim.now == 49
+    assert sim.run_until(50) == 1
+    assert seen == [50]
+
+
+def test_run_until_counts_alarms_among_fired_events():
+    sim = Simulator()
+    seen = []
+
+    def rearm():
+        seen.append(sim.now)
+        if sim.now < 30:
+            sim.set_alarm(sim.now + 10, rearm)
+
+    sim.set_alarm(10, rearm)
+    sim.schedule(15, lambda: seen.append(sim.now))
+    assert sim.run_until(100) == 4
+    assert seen == [10, 15, 20, 30]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=50)),
+                min_size=1, max_size=30))
+def test_alarm_fires_where_a_rescheduled_event_would(ops):
+    # each (is_alarm, delay): moving the alarm orders events exactly as
+    # cancelling the last heap entry and scheduling a new one does
+    def trace(use_alarm):
+        sim = Simulator()
+        log = []
+        handle = None
+        for i, (is_alarm, delay) in enumerate(ops):
+            fire = lambda i=i: log.append((sim.now, i))
+            if not is_alarm:
+                sim.schedule(delay, fire)
+            elif use_alarm:
+                sim.set_alarm(delay, fire)
+            else:
+                if handle is not None:
+                    sim.cancel(handle)
+                handle = sim.schedule(delay, fire)
+        return sim.run_until(100), log
+
+    assert trace(True) == trace(False)
+
+
+def test_alarm_in_the_past_rejected():
+    sim = Simulator()
+    sim.run_until(20)
+    with pytest.raises(SimError):
+        sim.set_alarm(19, lambda: None)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=30))
 def test_delivery_respects_fire_at_seq_total_order(delays):

@@ -255,6 +255,21 @@ def test_csv_round_trip(tmp_path):
     assert per_run == [rep.throughput_bps for rep in row.reports]
 
 
+@pytest.mark.parametrize("name", ["area_side", "duration_s"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_scenario_config_floats_must_be_finite(name, value):
+    # an infinite duration used to escape as OverflowError from the rounding
+    with pytest.raises(ConfigError, match=name):
+        ScenarioConfig(**{name: value})
+
+
+def test_infinite_pareto_rate_rejected_before_the_run():
+    # it used to pass, and the run then never advanced virtual time
+    with pytest.raises(ConfigError, match="rate_bps"):
+        run_scenario(short_config(traffic=TrafficSpec(kind="pareto_on_off",
+                                                      rate_bps=float("inf"))))
+
+
 def test_scenario_config_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(protocol="csma")

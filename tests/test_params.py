@@ -34,6 +34,9 @@ def test_token_defaults():
     {"bit_rate": 0},
     {"tx_range": -1.0},
     {"tx_range": 600.0},   # exceeds cs_range
+    {"tx_range": float("nan")},
+    {"cs_range": float("nan")},
+    {"cs_range": float("inf")},
 ])
 def test_phy_validation(kwargs):
     with pytest.raises(ConfigError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tokendcf import Simulator, TrafficSpec, substream
+from tokendcf import ConfigError, Simulator, TrafficSpec, substream
 from tokendcf.traffic import FullBufferSource, ParetoOnOffSource, make_source
 
 from conftest import Network
@@ -31,6 +31,14 @@ def test_traffic_spec_validation():
         TrafficSpec(kind="pareto_on_off", shape=1.0)
     with pytest.raises(ValueError):
         TrafficSpec(kind="pareto_on_off", rate_bps=0)
+
+
+@pytest.mark.parametrize("kind", ["full_buffer", "pareto_on_off"])
+@pytest.mark.parametrize("name", ["rate_bps", "on_mean_us", "off_mean_us", "shape"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_traffic_spec_floats_must_be_finite(kind, name, value):
+    with pytest.raises(ConfigError, match=name):
+        TrafficSpec(kind=kind, **{name: value})
 
 
 def test_full_buffer_fills_queue_to_capacity_at_start():
