@@ -4,13 +4,15 @@ All simulation time is kept in integer microseconds so that slot/SIFS/DIFS
 arithmetic stays exact.  Event delivery order is the strict total order
 (fire_at, seq), which makes every run reproducible for a fixed seed.
 
-Beside the event heap the simulator keeps one alarm: a single callback at a
-single time that its owner moves again and again (the medium's contention
-wake-up).  Setting it takes the next ``seq``, exactly as ``schedule`` would,
-and setting it again replaces it, so moving it leaves no cancelled entry in
-the heap.  The loop fires whichever of the heap's first entry and the alarm
-comes first by (fire_at, seq), so the delivery order is the one the alarm
-would have as a heap entry.
+Every scheduled event fires exactly once: there is no cancel.  A callback
+whose work was superseded (an ACK timeout after its ACK arrived) fires and
+does nothing.  Beside the event heap the simulator keeps one alarm: a single
+callback at a single time that its owner moves again and again (the
+medium's contention wake-up).  Setting it takes the next ``seq``, exactly as
+``schedule`` would, and setting it again replaces it, so moving it leaves no
+entry in the heap.  The loop fires whichever of the heap's first entry and
+the alarm comes first by (fire_at, seq), so the delivery order is the one
+the alarm would have as a heap entry.
 """
 
 import hashlib
@@ -25,9 +27,8 @@ class SimError(Exception):
 class Simulator:
     """Single-threaded event loop over integer-microsecond virtual time.
 
-    ``schedule`` returns a handle usable with ``cancel``.  Cancelled events
-    never fire; cancelling an already-fired (or already-cancelled) event
-    returns False.  ``set_alarm`` (re)sets the one alarm.
+    ``schedule`` queues a callback that fires once; ``set_alarm`` (re)sets
+    the one alarm.
     """
 
     __slots__ = ("now", "_heap", "_seq", "_alarm")
@@ -36,27 +37,19 @@ class Simulator:
         self.now = 0
         self._heap = []
         self._seq = 0
-        self._alarm = None   # [fire_at, seq, callback] while pending, else None
+        self._alarm = None   # (fire_at, seq, callback) while pending, else None
 
     def schedule(self, delay, callback):
         if delay < 0:
             raise SimError(f"negative delay: {delay}")
-        entry = [self.now + int(delay), self._seq, callback]
+        heappush(self._heap, (self.now + int(delay), self._seq, callback))
         self._seq += 1
-        heappush(self._heap, entry)
-        return entry
-
-    def cancel(self, entry):
-        if entry[2] is None:
-            return False
-        entry[2] = None
-        return True
 
     def set_alarm(self, at, callback):
         """Call ``callback`` at virtual time ``at``, replacing any pending alarm."""
         if at < self.now:
             raise SimError(f"alarm in the past: {at} < {self.now}")
-        self._alarm = [at, self._seq, callback]
+        self._alarm = (at, self._seq, callback)
         self._seq += 1
 
     def run_until(self, t_end):
@@ -70,22 +63,16 @@ class Simulator:
         fired = 0
         while True:
             alarm = self._alarm
-            # lists compare by (fire_at, seq), and no two seqs are equal
+            # entries compare by (fire_at, seq), and no two seqs are equal
             if heap and (alarm is None or heap[0] < alarm):
                 if heap[0][0] > t_end:
                     break
-                entry = heappop(heap)
-                cb = entry[2]
-                if cb is None:
-                    continue
-                entry[2] = None
+                self.now, _, cb = heappop(heap)
             elif alarm is not None and alarm[0] <= t_end:
                 self._alarm = None
-                entry = alarm
-                cb = alarm[2]
+                self.now, _, cb = alarm
             else:
                 break
-            self.now = entry[0]
             cb()
             fired += 1
         self.now = t_end

@@ -14,9 +14,9 @@ class MacFrame:
     ``privileged`` as None.
     """
 
-    __slots__ = ("kind", "src", "dst", "payload_bytes", "seq", "privileged", "q_len")
+    __slots__ = ("kind", "src", "dst", "payload_bytes", "privileged", "q_len")
 
-    def __init__(self, kind, src, dst, payload_bytes=0, seq=0, privileged=None, q_len=0):
+    def __init__(self, kind, src, dst, payload_bytes=0, privileged=None, q_len=0):
         if kind == DATA and payload_bytes <= 0:
             raise ValueError("data frames need a positive payload")
         if kind == ACK and privileged is not None:
@@ -25,14 +25,13 @@ class MacFrame:
         self.src = src
         self.dst = dst
         self.payload_bytes = payload_bytes
-        self.seq = seq
         self.privileged = privileged
         self.q_len = q_len
 
     def __repr__(self):
         return (
             f"MacFrame({KIND_NAMES[self.kind]}, src={self.src}, dst={self.dst}, "
-            f"payload={self.payload_bytes}, seq={self.seq}, "
+            f"payload={self.payload_bytes}, "
             f"privileged={self.privileged}, q_len={self.q_len})"
         )
 

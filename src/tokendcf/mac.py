@@ -32,7 +32,7 @@ class Station:
         "dst", "payload_bytes", "scheduler", "source",
         "queue", "cw", "retries", "phase",
         "pending_slots", "sifs_plan", "registered",
-        "_ack_timer", "_seq",
+        "_ack_due",
         "enqueued", "delivered", "dropped_full", "dropped_retry",
         "data_header_bytes", "data_airtime", "ack_airtime",
     )
@@ -57,8 +57,7 @@ class Station:
         self.pending_slots = None   # None = fresh draw on next resume
         self.sifs_plan = False
         self.registered = False     # the medium holds its access, counting or frozen
-        self._ack_timer = None
-        self._seq = 0
+        self._ack_due = None        # when the pending ACK timeout fires, else None
         self.enqueued = 0
         self.delivered = 0
         self.dropped_full = 0
@@ -127,8 +126,7 @@ class Station:
         self._transmit_data()
 
     def _transmit_data(self):
-        frame = MacFrame(DATA, self.sid, self.dst, self.payload_bytes, self._seq)
-        self._seq += 1
+        frame = MacFrame(DATA, self.sid, self.dst, self.payload_bytes)
         if self.scheduler is not None:
             self.scheduler.on_transmit_data(frame, len(self.queue))
         self.metrics.tx_attempts += 1
@@ -139,7 +137,8 @@ class Station:
         if frame.kind == DATA:
             self.phase = AWAIT_ACK
             timeout = self.phy.sifs + self.ack_airtime + self.mac.ack_timeout_guard
-            self._ack_timer = self.sim.schedule(timeout, self._ack_timeout)
+            self._ack_due = self.sim.now + timeout
+            self.sim.schedule(timeout, self._ack_timeout)
 
     # -- reception ---------------------------------------------------------
 
@@ -178,8 +177,7 @@ class Station:
         self.medium.begin_transmission(self.sid, frame, self.ack_airtime)
 
     def _ack_received(self):
-        self.sim.cancel(self._ack_timer)
-        self._ack_timer = None
+        self._ack_due = None
         arrival = self.queue.popleft()
         now = self.sim.now
         self.metrics.delivered_bits += 8 * self.payload_bytes
@@ -195,7 +193,12 @@ class Station:
             self.phase = IDLE
 
     def _ack_timeout(self):
-        self._ack_timer = None
+        # a timeout whose ACK arrived fires all the same and does nothing; a
+        # station's DATA frames end at strictly increasing times, so a
+        # superseded timeout never meets the next one's deadline
+        if self.sim.now != self._ack_due:
+            return
+        self._ack_due = None
         self.metrics.tx_failures += 1
         self.retries += 1
         self.cw = min(2 * self.cw, self.mac.cw_max)

@@ -38,8 +38,8 @@ each idle group with a waiter to its earliest fire time, over its heap head
 and its solo stations; a busy edge drops the group from it.  One wake-up
 sits at the index's minimum, which is far cheaper than one timer per
 station.  It is the simulator's alarm, not a heap event: moving it (a new
-minimum, or the next one after a wake) replaces it and leaves no cancelled
-entry behind.
+minimum, or the next one after a wake) replaces it and leaves no event
+behind in the heap.
 """
 
 import math

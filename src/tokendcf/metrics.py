@@ -33,7 +33,7 @@ class MetricsReport:
     busy_time_us: int
 
 
-def summarize(metrics, horizon_us, slot_time=9):
+def summarize(metrics, horizon_us, slot_time):
     if horizon_us <= 0:
         raise ValueError("horizon must be positive")
     delays = metrics.access_delays

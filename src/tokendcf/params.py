@@ -62,8 +62,11 @@ class MacParams:
             raise ConfigError("retry_limit must be >= 0")
         if min(self.data_header_bytes, self.ack_header_bytes) <= 0:
             raise ConfigError("header sizes must be positive")
-        if self.sched_header_bytes < 0 or self.ack_timeout_guard < 0:
-            raise ConfigError("sched_header_bytes/ack_timeout_guard must be >= 0")
+        if self.sched_header_bytes < 0:
+            raise ConfigError("sched_header_bytes must be >= 0")
+        # a zero guard fires the timeout at the instant the ACK ends, ahead of it
+        if self.ack_timeout_guard < 1:
+            raise ConfigError("ack_timeout_guard must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Event engine ordering/cancellation and the seeded random streams."""
+"""Event engine ordering, the alarm and the seeded random streams."""
 
 import pytest
 from hypothesis import given, settings
@@ -38,29 +38,6 @@ def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimError):
         sim.schedule(-1, lambda: None)
-
-
-def test_cancel_pending_event_never_fires():
-    sim = Simulator()
-    fired = []
-    handle = sim.schedule(5, lambda: fired.append(1))
-    assert sim.cancel(handle) is True
-    sim.run_until(10)
-    assert fired == []
-
-
-def test_cancel_after_fire_returns_false():
-    sim = Simulator()
-    handle = sim.schedule(5, lambda: None)
-    sim.run_until(10)
-    assert sim.cancel(handle) is False
-
-
-def test_cancel_twice_second_false():
-    sim = Simulator()
-    handle = sim.schedule(5, lambda: None)
-    assert sim.cancel(handle) is True
-    assert sim.cancel(handle) is False
 
 
 def test_run_until_empty_queue_advances_now():
@@ -152,11 +129,12 @@ def test_run_until_counts_alarms_among_fired_events():
                 min_size=1, max_size=30))
 def test_alarm_fires_where_a_rescheduled_event_would(ops):
     # each (is_alarm, delay): moving the alarm orders events exactly as
-    # cancelling the last heap entry and scheduling a new one does
+    # scheduling a heap event per move does, when every move but the last
+    # fires and does nothing
     def trace(use_alarm):
         sim = Simulator()
         log = []
-        handle = None
+        latest = None
         for i, (is_alarm, delay) in enumerate(ops):
             fire = lambda i=i: log.append((sim.now, i))
             if not is_alarm:
@@ -164,10 +142,10 @@ def test_alarm_fires_where_a_rescheduled_event_would(ops):
             elif use_alarm:
                 sim.set_alarm(delay, fire)
             else:
-                if handle is not None:
-                    sim.cancel(handle)
-                handle = sim.schedule(delay, fire)
-        return sim.run_until(100), log
+                latest = i
+                sim.schedule(delay, lambda i=i, fire=fire: i == latest and fire())
+        sim.run_until(100)
+        return log
 
     assert trace(True) == trace(False)
 

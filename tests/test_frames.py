@@ -45,6 +45,6 @@ def test_ack_frame_carries_no_scheduling_fields():
 
 
 def test_data_frame_scheduling_fields_roundtrip():
-    frame = MacFrame(DATA, 2, 5, payload_bytes=500, seq=9, privileged=4, q_len=12)
+    frame = MacFrame(DATA, 2, 5, payload_bytes=500, privileged=4, q_len=12)
     assert (frame.src, frame.dst, frame.privileged, frame.q_len) == (2, 5, 4, 12)
     assert "privileged=4" in repr(frame)

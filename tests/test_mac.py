@@ -213,6 +213,7 @@ def test_cw_doubles_on_timeout_up_to_max():
     seen = []
     for _ in expected:
         st.phase = AWAIT_ACK
+        st._ack_due = net.sim.now
         st.retries = 0   # stay under the drop limit; ladder only
         st._ack_timeout()
         seen.append(st.cw)
@@ -225,6 +226,7 @@ def test_retry_limit_drops_frame_and_resets_cw():
     st.queue.append(0)
     for _ in range(8):   # 8th consecutive failure exceeds retry limit 7
         st.phase = AWAIT_ACK
+        st._ack_due = net.sim.now
         st._ack_timeout()
     assert st.dropped_retry == 1
     assert len(st.queue) == 0
@@ -239,11 +241,25 @@ def test_ack_resets_cw_to_min(clique_pair):
     st.retries = 3
     st.queue.append(0)
     st.phase = AWAIT_ACK
-    st._ack_timer = clique_pair.sim.schedule(100, lambda: None)
+    st._ack_due = 100
     st._ack_received()
     assert st.cw == 16
     assert st.retries == 0
     assert st.delivered == 1
+
+
+def test_superseded_ack_timeout_does_nothing_for_any_guard():
+    # every ACK of a lone flow arrives, so the guard only moves the instant
+    # its superseded timeout fires, up to well inside the next exchange
+    def trace(guard):
+        net = single_flow(mac=MacParams(ack_timeout_guard=guard), trace=True)
+        net.saturate().run(20_000)
+        assert net.metrics.tx_failures == 0
+        return net.trace
+
+    reference = trace(20)
+    for guard in range(1, 394, 7):
+        assert trace(guard) == reference, f"guard {guard}"
 
 
 # -- end-to-end exchange timing ---------------------------------------------

@@ -49,6 +49,7 @@ def test_phy_validation(kwargs):
     {"queue_capacity": 0},
     {"retry_limit": -1},
     {"data_header_bytes": 0},
+    {"ack_timeout_guard": 0},      # the timeout would fire ahead of the ACK's end
 ])
 def test_mac_validation(kwargs):
     with pytest.raises(ConfigError):
