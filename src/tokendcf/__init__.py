@@ -2,7 +2,7 @@
 with a token/privilege MAC that schedules neighbors via overheard queue lengths."""
 
 from .core import Simulator, derive_seed, draw_pareto, pareto_scale, substream
-from .experiments import (ScenarioConfig, Simulation, generate_topology,
+from .experiments import (Network, ScenarioConfig, Simulation, generate_topology,
                           load_config, parse_config, run_scenario, run_sweep,
                           simulate_run)
 from .frames import ACK, DATA, MacFrame, frame_airtime
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Simulator", "substream", "derive_seed", "draw_pareto", "pareto_scale",
-    "ScenarioConfig", "Simulation", "generate_topology", "parse_config",
+    "ScenarioConfig", "Network", "Simulation", "generate_topology", "parse_config",
     "load_config", "run_scenario", "run_sweep", "simulate_run",
     "DATA", "ACK", "MacFrame", "frame_airtime",
     "Station", "Medium",

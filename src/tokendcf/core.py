@@ -79,22 +79,20 @@ class Simulator:
         return fired
 
 
-def substream(seed, *tags):
-    """Independent random.Random keyed by (seed, *tags).
+def derive_seed(seed, *tags):
+    """Stable 64-bit sub-seed keyed by (seed, *tags).
 
-    The derivation goes through SHA-256 so the same key gives the same draw
-    sequence on every platform, and adding a station does not perturb the
-    streams of other stations.
+    The derivation goes through SHA-256 so the same key gives the same seed
+    on every platform, and adding a station does not perturb the seeds of
+    other stations.
     """
     key = repr((seed,) + tags).encode()
-    digest = hashlib.sha256(key).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def derive_seed(seed, *tags):
-    """Stable 64-bit sub-seed for per-run derivation."""
-    key = repr((seed,) + tags).encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+
+
+def substream(seed, *tags):
+    """Independent random.Random seeded by ``derive_seed(seed, *tags)``."""
+    return random.Random(derive_seed(seed, *tags))
 
 
 def pareto_scale(mean, shape):

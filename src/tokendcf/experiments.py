@@ -11,7 +11,8 @@ from .core import Simulator, derive_seed, substream
 from .mac import Station
 from .medium import Medium
 from .metrics import Metrics, summarize
-from .params import ConfigError, MacParams, PhyParams, TokenParams, require_finite
+from .params import (ConfigError, MacParams, PhyParams, TokenParams, require_finite,
+                     require_ints)
 from .token import TokenScheduler
 from .traffic import TrafficSpec, make_source
 
@@ -39,6 +40,7 @@ class ScenarioConfig:
     traffic: TrafficSpec = field(default_factory=TrafficSpec)
 
     def __post_init__(self):
+        require_ints(self)
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}")
         if self.policy not in POLICIES:
@@ -180,48 +182,64 @@ def generate_topology(config, run_seed):
 
 # -- running ---------------------------------------------------------------
 
-class Simulation:
-    """One fully-wired run: event loop, medium, stations, traffic, metrics."""
+class Network:
+    """Stations at hand-placed ``positions`` wired for one run.
 
-    def __init__(self, config, run_seed, trace=None):
+    Owns the event loop, the metrics, the medium and the stations, indexed
+    by id.  The source of each ``(src, dst)`` flow is a sender to ``dst``,
+    with a token scheduler under ``token_dcf``; every other id is a plain
+    station.  Each station draws from its own substreams of ``run_seed``.
+    """
+
+    def __init__(self, positions, flows, config, run_seed, trace=None):
         self.config = config
         self.run_seed = run_seed
+        self.positions = positions
+        self.flows = flows
         self.sim = Simulator()
         self.metrics = Metrics()
-        self.positions, self.flows = generate_topology(config, run_seed)
-        self.medium = Medium(self.sim, self.positions, self.metrics, trace=trace,
+        self.medium = Medium(self.sim, positions, self.metrics, trace=trace,
                              phy=config.phy)
-        self.stations = []
-        self.sources = []
+        dsts = dict(flows)
         use_token = config.protocol == "token_dcf"
-        n = config.n_transmitters
-        for tx_id, rx_id in self.flows:
-            scheduler = None
-            if use_token:
-                scheduler = TokenScheduler(tx_id, self.sim, config.token,
-                                           substream(run_seed, tx_id, "sched"))
-            st = Station(
-                tx_id, self.sim, self.medium, config.mac, self.metrics,
-                rng=substream(run_seed, tx_id, "backoff"),
-                dst=rx_id, payload_bytes=config.traffic.packet_size,
-                scheduler=scheduler,
-            )
+        self.stations = []
+        for sid in range(len(positions)):
+            if sid not in dsts:
+                st = Station(sid, self.sim, self.medium, config.mac, self.metrics)
+            else:
+                scheduler = None
+                if use_token:
+                    scheduler = TokenScheduler(sid, self.sim, config.token,
+                                               substream(run_seed, sid, "sched"))
+                st = Station(
+                    sid, self.sim, self.medium, config.mac, self.metrics,
+                    rng=substream(run_seed, sid, "backoff"),
+                    dst=dsts[sid], payload_bytes=config.traffic.packet_size,
+                    scheduler=scheduler,
+                )
             self.stations.append(st)
-        for i in range(n):
-            sink = Station(n + i, self.sim, self.medium, config.mac, self.metrics)
-            self.stations.append(sink)
         self.medium.bind(self.stations)
-        for st in self.stations[:n]:
-            src = make_source(st, config.traffic,
-                              substream(run_seed, st.sid, "traffic"))
-            self.sources.append(src)
+
+    def run(self, horizon_us):
+        """Run the event loop to ``horizon_us`` and report the run so far."""
+        self.sim.run_until(horizon_us)
+        return summarize(self.metrics, horizon_us, self.config.phy.slot_time)
+
+
+class Simulation(Network):
+    """One generated run: the config's topology, its traffic sources, its horizon."""
+
+    def __init__(self, config, run_seed, trace=None):
+        positions, flows = generate_topology(config, run_seed)
+        super().__init__(positions, flows, config, run_seed, trace=trace)
+        self.sources = [make_source(self.stations[src], config.traffic,
+                                    substream(run_seed, src, "traffic"))
+                        for src, _dst in flows]
 
     def run(self):
         for src in self.sources:
             src.start()
-        horizon = self.config.horizon_us
-        self.sim.run_until(horizon)
-        return summarize(self.metrics, horizon, self.config.phy.slot_time)
+        return super().run(self.config.horizon_us)
 
 
 def simulate_run(config, run_index, trace=None):

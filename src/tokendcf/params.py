@@ -1,7 +1,7 @@
 """Protocol parameter sets with the 802.11g-style defaults used throughout."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class ConfigError(ValueError):
@@ -13,6 +13,18 @@ def require_finite(params, *names):
     for name in names:
         if not math.isfinite(getattr(params, name)):
             raise ConfigError(f"{name} must be finite, not {getattr(params, name)!r}")
+
+
+def require_ints(params):
+    """Raise ConfigError naming the first int field of ``params`` that holds no int.
+
+    A float there, whole or not, would carry float microseconds, bytes or
+    counts into integer virtual time and the trace.
+    """
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.type is int and not isinstance(value, int):
+            raise ConfigError(f"{f.name} must be an int, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -28,6 +40,7 @@ class PhyParams:
     cs_range: float = 550.0
 
     def __post_init__(self):
+        require_ints(self)
         if min(self.slot_time, self.sifs, self.difs, self.preamble) <= 0:
             raise ConfigError("phy intervals must be positive")
         if self.bit_rate <= 0:
@@ -52,6 +65,7 @@ class MacParams:
     ack_timeout_guard: int = 20
 
     def __post_init__(self):
+        require_ints(self)
         if self.cw_min < 1:
             raise ConfigError("cw_min must be >= 1")
         if self.cw_max < self.cw_min:
@@ -79,6 +93,7 @@ class TokenParams:
     period_us: int = 100_000
 
     def __post_init__(self):
+        require_ints(self)
         if not 0.0 <= self.min_ratio < self.max_ratio <= 1.0:
             raise ConfigError("need 0 <= min_ratio < max_ratio <= 1")
         if not 0.0 < self.delta <= 1.0:

@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 
 from .core import draw_pareto
-from .params import ConfigError, require_finite
+from .params import ConfigError, require_finite, require_ints
 
 FULL_BUFFER = "full_buffer"
 PARETO_ON_OFF = "pareto_on_off"
@@ -20,6 +20,7 @@ class TrafficSpec:
     shape: float = 1.5
 
     def __post_init__(self):
+        require_ints(self)
         if self.kind not in (FULL_BUFFER, PARETO_ON_OFF):
             raise ConfigError(f"unknown traffic kind: {self.kind}")
         if self.packet_size <= 0:

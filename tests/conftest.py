@@ -1,54 +1,28 @@
-"""Shared helpers: hand-wired networks and tiny station stubs."""
+"""Shared helpers: hand-placed networks and tiny station stubs."""
 
-import pytest
-
-from tokendcf import (MacParams, Medium, Metrics, PhyParams, Simulator,
-                      Station, TokenParams, TokenScheduler, substream)
+from tokendcf import (MacParams, Network as _Network, PhyParams, ScenarioConfig,
+                      TokenParams, TrafficSpec)
 from tokendcf.traffic import FullBufferSource
 
 
-class Network:
-    """A fully wired simulation over hand-placed stations."""
+class Network(_Network):
+    """Hand-placed stations wired as the package wires them, set by keywords.
+
+    ``seed`` is the run seed; ``trace=True`` records the medium's trace in
+    ``self.trace``.
+    """
 
     def __init__(self, positions, flows, protocol="dcf", payload=500,
                  phy=None, mac=None, token=None, seed=1, trace=False):
-        self.sim = Simulator()
-        self.metrics = Metrics()
-        self.phy = phy or PhyParams()
-        self.mac = mac or MacParams()
-        self.token = token or TokenParams()
+        config = ScenarioConfig(protocol=protocol, phy=phy or PhyParams(),
+                                mac=mac or MacParams(), token=token or TokenParams(),
+                                traffic=TrafficSpec(packet_size=payload))
         self.trace = [] if trace else None
-        self.medium = Medium(self.sim, positions, self.metrics,
-                             trace=self.trace, phy=self.phy)
-        dsts = dict(flows)
-        self.stations = []
-        for sid in range(len(positions)):
-            if sid in dsts:
-                scheduler = None
-                if protocol == "token_dcf":
-                    scheduler = TokenScheduler(sid, self.sim, self.token,
-                                               substream(seed, sid, "sched"))
-                st = Station(sid, self.sim, self.medium, self.mac,
-                             self.metrics, rng=substream(seed, sid, "backoff"),
-                             dst=dsts[sid], payload_bytes=payload,
-                             scheduler=scheduler)
-            else:
-                st = Station(sid, self.sim, self.medium, self.mac,
-                             self.metrics)
-            self.stations.append(st)
-        self.medium.bind(self.stations)
-        self.sources = []
+        super().__init__(positions, flows, config, seed, trace=self.trace)
 
     def saturate(self):
-        for st in self.stations:
-            if st.dst is not None:
-                src = FullBufferSource(st)
-                src.start()
-                self.sources.append(src)
-        return self
-
-    def run(self, horizon_us):
-        self.sim.run_until(horizon_us)
+        for src, _dst in self.flows:
+            FullBufferSource(self.stations[src]).start()
         return self
 
 
@@ -90,9 +64,3 @@ def finished_frames(trace):
             frames.append((src, start, end, kind, corrupted, delivered))
     return frames
 
-
-@pytest.fixture
-def clique_pair():
-    """One saturated sender (0 -> 1) plus a second flow (2 -> 3), all in range."""
-    positions = [(0.0, 0.0), (100.0, 0.0), (0.0, 50.0), (100.0, 50.0)]
-    return Network(positions, [(0, 1), (2, 3)])

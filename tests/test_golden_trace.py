@@ -11,7 +11,7 @@ one printed on failure, and says so in CHANGES.md.
 
 import hashlib
 
-from tokendcf import ScenarioConfig, Simulation, TrafficSpec, derive_seed, summarize
+from tokendcf import ScenarioConfig, Simulation, TrafficSpec, derive_seed
 
 from conftest import Network, finished_frames
 
@@ -121,7 +121,6 @@ TWO_WAY_GOLDEN = '94a08e89f4325f98'
 
 def test_two_way_token_trace_unchanged():
     net = Network(TWO_WAY, TWO_WAY_FLOWS, protocol="token_dcf", trace=True)
-    net.saturate().run(TWO_WAY_HORIZON_US)
-    report = summarize(net.metrics, TWO_WAY_HORIZON_US, net.phy.slot_time)
+    report = net.saturate().run(TWO_WAY_HORIZON_US)
     assert all(st.delivered > 0 for st in net.stations)
     assert trace_digest(net.trace, report) == TWO_WAY_GOLDEN

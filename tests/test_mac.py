@@ -5,7 +5,7 @@ import pytest
 from tokendcf import (DATA, ACK, MacFrame, MacParams, TrafficSpec, frame_airtime,
                       substream)
 from tokendcf.traffic import make_source
-from tokendcf.mac import ACCEPTED, DROPPED, IDLE, WAITING, AWAIT_ACK
+from tokendcf.mac import ACCEPTED, DROPPED, IDLE, WAITING
 
 from conftest import Network, Recorder
 
@@ -21,12 +21,15 @@ def single_flow(**kwargs):
 # first transmission shows the slots it had left.
 
 class Draws:
-    """Backoff stream stub: hands out the given slot counts in order."""
+    """Backoff stream stub: hands out the given slot counts in order and
+    records the upper bound (the contention window) of each draw."""
 
     def __init__(self, *slots):
         self.slots = list(slots)
+        self.bounds = []
 
     def randint(self, lo, hi):
+        self.bounds.append(hi)
         return self.slots.pop(0)
 
 
@@ -205,47 +208,42 @@ def test_addressed_grant_to_frozen_backoff():
 
 # -- contention window ladder -----------------------------------------------
 
+def unanswered():
+    """One packet from 0 to 1, out of 0's tx range: every attempt times out."""
+    net = Network([(0.0, 0.0), (300.0, 0.0)], [(0, 1)])
+    st = join_at(net, 0, 0, *[0] * 8)
+    net.run(100_000)
+    return net, st
+
+
 def test_cw_doubles_on_timeout_up_to_max():
-    net = single_flow()
-    st = net.stations[0]
-    st.queue.append(0)
-    expected = [32, 64, 128, 256, 512, 1024, 1024]
-    seen = []
-    for _ in expected:
-        st.phase = AWAIT_ACK
-        st._ack_due = net.sim.now
-        st.retries = 0   # stay under the drop limit; ladder only
-        st._ack_timeout()
-        seen.append(st.cw)
-    assert seen == expected
+    _net, st = unanswered()
+    assert st.rng.bounds == [16, 32, 64, 128, 256, 512, 1024, 1024]
 
 
 def test_retry_limit_drops_frame_and_resets_cw():
-    net = single_flow()
-    st = net.stations[0]
-    st.queue.append(0)
-    for _ in range(8):   # 8th consecutive failure exceeds retry limit 7
-        st.phase = AWAIT_ACK
-        st._ack_due = net.sim.now
-        st._ack_timeout()
+    net, st = unanswered()   # the 8th consecutive failure exceeds retry limit 7
+    assert net.metrics.tx_failures == 8
+    assert net.metrics.tx_attempts == 8
     assert st.dropped_retry == 1
     assert len(st.queue) == 0
     assert st.cw == 16
     assert st.retries == 0
-    assert net.metrics.tx_failures == 8
+    assert st.phase == IDLE
 
 
-def test_ack_resets_cw_to_min(clique_pair):
-    st = clique_pair.stations[0]
-    st.cw = 1024
-    st.retries = 3
-    st.queue.append(0)
-    st.phase = AWAIT_ACK
-    st._ack_due = 100
-    st._ack_received()
+def test_ack_resets_cw_to_min():
+    # noise from 4 spoils 0's first frame at 1; the retry, drawn from a
+    # doubled window, is ACKed
+    net = contenders()
+    st = join_at(net, 0, 0, 0, 0)
+    noise_at(net, 30, 50)
+    net.run(3000)
+    assert st.rng.bounds == [16, 32]
+    assert net.metrics.tx_failures == 1
+    assert st.delivered == 1
     assert st.cw == 16
     assert st.retries == 0
-    assert st.delivered == 1
 
 
 def test_superseded_ack_timeout_does_nothing_for_any_guard():
@@ -339,9 +337,9 @@ def test_token_data_header_four_bytes_larger():
 
 
 def test_ack_timeout_covers_legitimate_ack():
-    net = single_flow()
+    phy = single_flow().config.phy
     mac = MacParams()
-    timeout = net.phy.sifs + frame_airtime(mac.ack_header_bytes, 0, net.phy) + mac.ack_timeout_guard
+    timeout = phy.sifs + frame_airtime(mac.ack_header_bytes, 0, phy) + mac.ack_timeout_guard
     # SIFS + ack airtime fits inside the timeout window with guard to spare
-    assert timeout > net.phy.sifs + 19
+    assert timeout > phy.sifs + 19
     assert timeout == 49

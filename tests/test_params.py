@@ -2,7 +2,8 @@
 
 import pytest
 
-from tokendcf import ConfigError, MacParams, PhyParams, TokenParams
+from tokendcf import (ConfigError, MacParams, PhyParams, ScenarioConfig, TokenParams,
+                      TrafficSpec)
 
 
 def test_phy_defaults():
@@ -72,3 +73,21 @@ def test_token_validation(kwargs):
 def test_token_max_p_zero_disables_grants_but_is_valid():
     tok = TokenParams(max_p=0.0)
     assert tok.max_p == 0.0
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (PhyParams, "slot_time", 9.5),
+    (PhyParams, "bit_rate", 54e6),     # whole, but a float
+    (MacParams, "cw_min", 16.5),
+    (MacParams, "queue_capacity", 2.5),
+    (MacParams, "retry_limit", "7"),
+    (TokenParams, "max_num", 20.5),
+    (TokenParams, "period_us", 100_000.5),
+    (TrafficSpec, "packet_size", 500.5),
+    (ScenarioConfig, "n_transmitters", 2.5),
+    (ScenarioConfig, "runs", 1.5),
+    (ScenarioConfig, "seed", 1.5),
+])
+def test_int_fields_reject_non_ints(cls, name, value):
+    with pytest.raises(ConfigError, match=name):
+        cls(**{name: value})

@@ -21,17 +21,7 @@ def build(protocol, seed=3, trace=True, run_index=0, **overrides):
     params = dict(CLIQUE, protocol=protocol, seed=seed)
     params.update(overrides)
     cfg = ScenarioConfig(**params)
-    trace_list = [] if trace else None
-    sim = Simulation(cfg, derive_seed(cfg.seed, run_index), trace=trace_list)
-    return cfg, sim
-
-
-def run_sim(sim, duration_s):
-    for src in sim.sources:
-        src.start()
-    horizon = int(round(duration_s * 1e6))
-    sim.sim.run_until(horizon)
-    return horizon
+    return Simulation(cfg, derive_seed(cfg.seed, run_index), trace=[] if trace else None)
 
 
 # -- reusable property checks (also exercised by the acceptance gate) -------
@@ -39,20 +29,20 @@ def run_sim(sim, duration_s):
 def check_determinism(protocol="token_dcf", seed=3):
     traces = []
     for _ in range(2):
-        cfg, sim = build(protocol, seed=seed)
-        run_sim(sim, cfg.duration_s)
+        sim = build(protocol, seed=seed)
+        sim.run()
         traces.append(repr(sim.medium.trace).encode())
     assert traces[0] == traces[1]
     return len(traces[0])
 
 
 def check_conservation(protocol="token_dcf", seed=3, **overrides):
-    cfg, sim = build(protocol, seed=seed, trace=False, **overrides)
-    run_sim(sim, cfg.duration_s)
-    return assert_conserved(cfg, sim)
+    sim = build(protocol, seed=seed, trace=False, **overrides)
+    sim.run()
+    return assert_conserved(sim)
 
 
-def assert_conserved(cfg, sim):
+def assert_conserved(sim):
     """Every enqueued packet is delivered, dropped or still queued."""
     total_delivered = 0
     for stn in sim.stations:
@@ -61,13 +51,13 @@ def assert_conserved(cfg, sim):
         assert stn.enqueued == (stn.delivered + stn.dropped_full +
                                 stn.dropped_retry + len(stn.queue))
         total_delivered += stn.delivered
-    assert sim.metrics.delivered_bits == total_delivered * 8 * cfg.traffic.packet_size
+    assert sim.metrics.delivered_bits == total_delivered * 8 * sim.config.traffic.packet_size
     assert len(sim.metrics.access_delays) == total_delivered
     return total_delivered
 
 
 def check_single_privilege(seed=3):
-    cfg, sim = build("token_dcf", seed=seed, trace=False)
+    sim = build("token_dcf", seed=seed, trace=False)
     medium = sim.medium
     schedulers = [stn.scheduler for stn in sim.stations if stn.scheduler]
     violations = []
@@ -83,15 +73,15 @@ def check_single_privilege(seed=3):
                 violations.append((sim.sim.now, holders))
 
     medium._finish = scanning_finish
-    run_sim(sim, cfg.duration_s)
+    sim.run()
     assert scans[0] > 0
     assert violations == []
     return scans[0]
 
 
 def check_sifs_gap(seed=3):
-    cfg, sim = build("token_dcf", seed=seed)
-    run_sim(sim, cfg.duration_s)
+    sim = build("token_dcf", seed=seed)
+    sim.run()
     sifs_gaps, backoff_gaps = _classify_post_ack_gaps(sim.medium.trace)
     assert sifs_gaps, "no privileged accesses occurred"
     return len(sifs_gaps), len(backoff_gaps)
@@ -129,11 +119,11 @@ def check_disabled_grants_match_plain_dcf(seed=3):
     def channel_view(trace):
         return [rec if rec[1] == "tx" else rec[:4] for rec in trace]
 
-    cfg_dcf, sim_dcf = build("dcf", seed=seed)
-    run_sim(sim_dcf, cfg_dcf.duration_s)
+    sim_dcf = build("dcf", seed=seed)
+    sim_dcf.run()
     inert = TokenParams(max_p=0.0)
-    cfg_tok, sim_tok = build("token_dcf", seed=seed, token=inert)
-    run_sim(sim_tok, cfg_tok.duration_s)
+    sim_tok = build("token_dcf", seed=seed, token=inert)
+    sim_tok.run()
     assert channel_view(sim_tok.medium.trace) == channel_view(sim_dcf.medium.trace)
     return len(sim_dcf.medium.trace)
 
@@ -142,12 +132,12 @@ def check_collision_replay(protocol="dcf", seed=3, **overrides):
     """Recompute every frame's corruption and delivery sets from geometry and
     the raw transmission intervals, independently of the medium's live
     bookkeeping, and compare with what was dispatched."""
-    cfg, sim = build(protocol, seed=seed, **overrides)
-    run_sim(sim, cfg.duration_s)
-    return assert_replayed(cfg, sim)
+    sim = build(protocol, seed=seed, **overrides)
+    sim.run()
+    return assert_replayed(sim)
 
 
-def assert_replayed(cfg, sim):
+def assert_replayed(sim):
     """Replay of a finished traced run; returns the number of transmissions."""
     positions = sim.positions
 
@@ -155,7 +145,7 @@ def assert_replayed(cfg, sim):
         (xa, ya), (xb, yb) = positions[a], positions[b]
         return math.hypot(xa - xb, ya - yb)
 
-    tx_range, cs_range = cfg.phy.tx_range, cfg.phy.cs_range
+    tx_range, cs_range = sim.config.phy.tx_range, sim.config.phy.cs_range
     listeners = {stn.sid for stn in sim.stations if stn.scheduler}
     trace = sim.medium.trace
     log = finished_frames(trace)
@@ -220,8 +210,8 @@ def test_privileged_access_follows_ack_by_exactly_sifs():
 
 
 def test_plain_dcf_trace_has_no_sifs_accesses():
-    cfg, sim = build("dcf")
-    run_sim(sim, cfg.duration_s)
+    sim = build("dcf")
+    sim.run()
     sifs_gaps, backoff_gaps = _classify_post_ack_gaps(sim.medium.trace)
     assert sifs_gaps == []
     assert backoff_gaps
@@ -244,8 +234,8 @@ def test_collision_replay_multihop():
 def test_idle_gaps_and_busy_time_partition_horizon():
     # single sender: every busy period is opened by exactly one access, so
     # busy time plus the recorded gaps tiles the horizon (minus the tail)
-    cfg, sim = build("dcf", trace=False, n_transmitters=1)
-    horizon = run_sim(sim, cfg.duration_s)
+    sim = build("dcf", trace=False, n_transmitters=1)
+    horizon = sim.run().horizon_us
     m = sim.metrics
     assert all(g >= 0 for g in m.idle_gaps)
     covered = m.busy_time + sum(m.idle_gaps)
@@ -255,8 +245,8 @@ def test_idle_gaps_and_busy_time_partition_horizon():
 
 
 def test_busy_time_bounded_with_contention():
-    cfg, sim = build("dcf", trace=False)
-    horizon = run_sim(sim, cfg.duration_s)
+    sim = build("dcf", trace=False)
+    horizon = sim.run().horizon_us
     m = sim.metrics
     assert 0 < m.busy_time <= horizon
     assert all(g >= 0 for g in m.idle_gaps)
@@ -279,8 +269,8 @@ def test_conservation_over_random_small_scenarios(seed, n, protocol):
 def test_random_multihop_fields_conserve_and_replay(seed, n, side, protocol, kind):
     # from a clique (100 m) to sparse fields of hidden and exposed stations
     traffic = TrafficSpec(kind=kind, packet_size=1500, rate_bps=1e7)
-    cfg, sim = build(protocol, seed=seed, n_transmitters=n, area_side=side,
+    sim = build(protocol, seed=seed, n_transmitters=n, area_side=side,
                      duration_s=0.1, traffic=traffic)
-    run_sim(sim, cfg.duration_s)
-    assert_conserved(cfg, sim)
-    assert_replayed(cfg, sim)
+    sim.run()
+    assert_conserved(sim)
+    assert_replayed(sim)
