@@ -232,8 +232,7 @@ class Simulation(Network):
     def __init__(self, config, run_seed, trace=None):
         positions, flows = generate_topology(config, run_seed)
         super().__init__(positions, flows, config, run_seed, trace=trace)
-        self.sources = [make_source(self.stations[src], config.traffic,
-                                    substream(run_seed, src, "traffic"))
+        self.sources = [make_source(self.stations[src], config.traffic, run_seed)
                         for src, _dst in flows]
 
     def run(self):

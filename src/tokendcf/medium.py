@@ -8,17 +8,18 @@ corrupted too (half-duplex).  Propagation delay is zero.  A decoded frame goes
 to the addressed station's ``on_frame``; a decoded DATA frame also goes to the
 ``on_data`` callback of every other station that registered as a listener.
 
-Collisions are recorded as overlaps, not as receivers.  When a frame starts,
-it and each frame still on the air record each other's source cs_set, each
-only if that set holds one of its own tx neighbours (``isdisjoint`` stops at
-the first common id and builds no set: O(1) per overlapping pair in a
-clique, O(tx degree) in a field).  A receiver in tx range is spoiled exactly
-when it lies in a recorded set, so the spoiled receivers are worked out once
-when the frame ends, and only for the receivers it is handed to: the
-addressed one and, for DATA, the overhearers.
+Carrier-sense sets are int bit masks: bit b of cs_mask[a] is set exactly
+when b lies within cs_range of a (a itself included).  Collisions are
+recorded as overlaps, not as receivers.  When a frame starts, it and each
+frame still on the air OR each other's source cs_mask into their ``spoil``
+mask: O(1) per overlapping pair, with no set built.  A receiver in tx range
+is spoiled exactly when its bit is set in ``spoil``, so the spoiled receivers
+are worked out once when the frame ends, and only for the receivers it is
+handed to: the addressed one and, for DATA, the overhearers.  Bits outside
+the source's tx neighbours change no verdict, since every receiver is one.
 
 The medium also runs the contention clock for the MAC layers, kept per
-carrier-sense group: the contending stations that share one cs_set.  They
+carrier-sense group: the contending stations that share one cs_mask.  They
 see the same busy/idle edges (a waiting station never transmits, so its own
 frames do not matter), so a group keeps one busy count instead of one per
 station.  Backoffs that start counting together sit in the group's heap,
@@ -45,6 +46,7 @@ behind in the heap.
 import math
 from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
+from itertools import compress, count
 
 from .params import PhyParams
 
@@ -55,52 +57,58 @@ class MediumError(Exception):
     pass
 
 
-def _in_sorted(ids, x):
-    """Whether ``x`` is in the ascending list ``ids``."""
-    i = bisect_left(ids, x)
-    return i < len(ids) and ids[i] == x
-
-
 def neighbor_tables(positions, tx_range, cs_range):
-    """(tx_nb, cs_set) for stations at ``positions``, a list of (x, y) in m.
+    """(tx_nb, cs_mask) for stations at ``positions``, a list of (x, y) in m.
 
     tx_nb[a] lists the ids within tx_range of a in ascending order, a
-    excluded; cs_set[a] is the set of ids within cs_range, a included.  Range
-    tests are inclusive, and each unordered pair's distance is computed once.
+    excluded; cs_mask[a] is an int with bit b set for each id b within
+    cs_range, a included.  Range tests are inclusive, and each unordered
+    pair's distance is computed once.
     """
     n = len(positions)
     hypot = math.hypot
+    bits = [1 << a for a in range(n)]
     tx_nb = [[] for _ in range(n)]
-    cs_set = [{a} for a in range(n)]
+    cs_mask = bits[:]
     for a, (xa, ya) in enumerate(positions):
         nb_a = tx_nb[a]
-        cs_a = cs_set[a]
+        bit_a = bits[a]
+        cs_a = cs_mask[a]     # already holds the ids below a
         for b in range(a + 1, n):
             xb, yb = positions[b]
             d = hypot(xa - xb, ya - yb)
             if d <= cs_range:
-                cs_a.add(b)
-                cs_set[b].add(a)
+                cs_a |= bits[b]
+                cs_mask[b] |= bit_a
                 if d <= tx_range:
                     nb_a.append(b)
                     tx_nb[b].append(a)
-    return tx_nb, cs_set
+        cs_mask[a] = cs_a
+    return tx_nb, cs_mask
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(mask):
+    """The ids whose bits are set in ``mask``, ascending."""
+    # binary digits, lowest first, as 0/1 bytes that select from 0, 1, 2, ...
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
 
 class ActiveTransmission:
-    __slots__ = ("src", "frame", "end", "overlaps")
+    __slots__ = ("src", "frame", "end", "spoil")
 
     def __init__(self, src, frame, end):
         self.src = src
         self.frame = frame
         self.end = end
-        # cs_sets of overlapping sources that hold a tx neighbour of src:
-        # the neighbours in any of them are spoiled
-        self.overlaps = []
+        # OR of the cs_masks of overlapping sources: the receivers in it are spoiled
+        self.spoil = 0
 
 
 class _Group:
-    """Contending stations with one cs_set and the backoffs they count together."""
+    """Contending stations with one cs_mask and the backoffs they count together."""
 
     __slots__ = ("busy", "epoch", "offset", "heap", "solo", "frozen")
 
@@ -127,8 +135,8 @@ class Medium:
         self._sifs = phy.sifs
         self._difs = phy.difs
         self._slot = phy.slot_time
-        # precomputed geometry: per-source sorted neighbor lists and cs sets
-        self.tx_nb, self.cs_set = neighbor_tables(positions, phy.tx_range, phy.cs_range)
+        # precomputed geometry: per-source sorted neighbor lists and cs masks
+        self.tx_nb, self.cs_mask = neighbor_tables(positions, phy.tx_range, phy.cs_range)
 
         self.stations = {}       # sid -> station object, bound via bind()
         self._active = {}        # src -> ActiveTransmission
@@ -141,7 +149,7 @@ class Medium:
         self._last_busy_end = 0
         self._last_gap = 0
         # contention clock: carrier-sense groups of contending stations
-        self._groups = {}                # frozenset(cs_set) -> _Group
+        self._groups = {}                # cs_mask -> _Group
         self._group_of = [None] * n      # sid -> _Group once subscribed
         self._hit = [[] for _ in range(n)]   # src -> groups that sense it
         self._fire = {}          # idle group with a waiter -> its earliest fire time
@@ -154,19 +162,18 @@ class Medium:
             self.stations[st.sid] = st
 
     def subscribe(self, sid):
-        """Put a contending station into the carrier-sense group of its cs_set.
+        """Put a contending station into the carrier-sense group of its cs_mask.
 
         Returns the group.
         """
         if self._group_of[sid] is not None:
             return self._group_of[sid]
-        cs = self.cs_set[sid]
-        key = frozenset(cs)
-        group = self._groups.get(key)
+        cs = self.cs_mask[sid]
+        group = self._groups.get(cs)
         if group is None:
-            group = _Group(sum(1 for src in self._active if src in cs))
-            self._groups[key] = group
-            for src in cs:
+            group = _Group(sum(1 for src in self._active if cs >> src & 1))
+            self._groups[cs] = group
+            for src in _members(cs):
                 self._hit[src].append(group)
         self._group_of[sid] = group
         return group
@@ -334,19 +341,15 @@ class Medium:
             raise MediumError("airtime must be positive")
         now = self.sim.now
         tx = ActiveTransmission(src, frame, now + airtime)
-        cs_set = self.cs_set
         if self._active:
-            tx_nb = self.tx_nb
-            my_cs = cs_set[src]
-            my_nb = tx_nb[src]
+            cs_mask = self.cs_mask
+            my_cs = cs_mask[src]
+            spoil = 0
             for other in self._active.values():
-                if other.end <= now:
-                    continue
-                other_cs = cs_set[other.src]
-                if not other_cs.isdisjoint(my_nb):
-                    tx.overlaps.append(other_cs)
-                if not my_cs.isdisjoint(tx_nb[other.src]):
-                    other.overlaps.append(my_cs)
+                if other.end > now:
+                    spoil |= cs_mask[other.src]
+                    other.spoil |= my_cs
+            tx.spoil = spoil
 
         # channel-wide idle gap: logged per access that begins a busy period
         if not self._active:
@@ -393,32 +396,26 @@ class Medium:
 
         frame = tx.frame
         stations = self.stations
-        overlaps = tx.overlaps
+        spoil = tx.spoil
         nb = self.tx_nb[src]
         dst = frame.dst
         # DATA: overhearers want the scheduling header
         overhear = self._overhear[src] if frame.kind == 0 else ()
-        if len(overlaps) > 1:
-            # several overlaps: their union, over the receivers the frame is handed to
-            spoiled = {r for cs in overlaps for r, _on_data in overhear if r in cs}
-            spoiled.update(dst for cs in overlaps if dst in cs)
-        else:
-            spoiled = overlaps[0] if overlaps else ()
         trace = self.trace
         delivered_to = [] if trace is not None else None
         # addressed receiver first so its response wins same-instant ties
-        if dst != src and dst not in spoiled and _in_sorted(nb, dst):
+        i = bisect_left(nb, dst)
+        if i < len(nb) and nb[i] == dst and not (spoil and spoil >> dst & 1):
             stations[dst].on_frame(frame)
             if delivered_to is not None:
                 delivered_to.append(dst)
         for r, on_data in overhear:
-            if r != dst and r not in spoiled:
+            if r != dst and not (spoil and spoil >> r & 1):
                 on_data(frame)
                 if delivered_to is not None:
                     delivered_to.append(r)
         if trace is not None:
-            hit = set().union(*overlaps)
-            corrupted = tuple(r for r in nb if r in hit)
+            corrupted = tuple(r for r in nb if spoil >> r & 1)
             # collisions spoil the same receivers again and again: keep one copy
             corrupted = self._spoiled.setdefault(corrupted, corrupted)
             trace.append((now, "end", src, frame.kind, tuple(sorted(delivered_to)), corrupted))

@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass
 
-from .core import draw_pareto
+from .core import draw_pareto, substream
 from .params import ConfigError, require_finite, require_ints
 
 FULL_BUFFER = "full_buffer"
@@ -102,7 +102,12 @@ class ParetoOnOffSource:
         self._arm()
 
 
-def make_source(station, spec, rng):
+def make_source(station, spec, run_seed):
+    """The source ``spec`` names for ``station``.
+
+    Only a Pareto source draws, from the station's own "traffic" substream
+    of ``run_seed``; a full buffer derives none.
+    """
     if spec.kind == FULL_BUFFER:
         return FullBufferSource(station)
-    return ParetoOnOffSource(station, spec, rng)
+    return ParetoOnOffSource(station, spec, substream(run_seed, station.sid, "traffic"))

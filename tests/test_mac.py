@@ -2,8 +2,7 @@
 
 import pytest
 
-from tokendcf import (DATA, ACK, MacFrame, MacParams, TrafficSpec, frame_airtime,
-                      substream)
+from tokendcf import DATA, ACK, MacFrame, MacParams, TrafficSpec, frame_airtime
 from tokendcf.traffic import make_source
 from tokendcf.mac import ACCEPTED, DROPPED, IDLE, WAITING
 
@@ -321,7 +320,7 @@ def test_bidirectional_flows_keep_their_dcf_state(protocol):
         net = Network([(0.0, 0.0), (100.0, 0.0)], [(0, 1), (1, 0)],
                       protocol=protocol, seed=seed)
         for st in net.stations:
-            make_source(st, traffic, substream(seed, st.sid, "traffic")).start()
+            make_source(st, traffic, seed).start()
         net.run(1_000_000)
         check_bidirectional(net)
         assert all(st.delivered > 0 for st in net.stations)

@@ -2,13 +2,15 @@
 
 import inspect
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokendcf import (ACK, DATA, ConfigError, MacFrame, Medium, Metrics,
-                      PhyParams, Simulator, Station)
+                      PhyParams, ScenarioConfig, Simulator, Station, derive_seed,
+                      generate_topology)
 from tokendcf.medium import MediumError, neighbor_tables
 
 from conftest import Recorder, finished_frames
@@ -45,21 +47,21 @@ def corrupted(medium):
 # -- geometry ---------------------------------------------------------------
 
 def test_link_geometry_boundary_inclusive_at_250():
-    tx_nb, cs_set = neighbor_tables([(0.0, 0.0), (250.0, 0.0)], 250.0, 550.0)
+    tx_nb, cs_mask = neighbor_tables([(0.0, 0.0), (250.0, 0.0)], 250.0, 550.0)
     assert tx_nb == [[1], [0]]
-    assert cs_set == [{0, 1}, {0, 1}]
+    assert cs_mask == [0b11, 0b11]
 
 
 def test_link_geometry_between_ranges():
-    tx_nb, cs_set = neighbor_tables([(0.0, 0.0), (400.0, 0.0)], 250.0, 550.0)
+    tx_nb, cs_mask = neighbor_tables([(0.0, 0.0), (400.0, 0.0)], 250.0, 550.0)
     assert tx_nb == [[], []]
-    assert cs_set == [{0, 1}, {0, 1}]
+    assert cs_mask == [0b11, 0b11]
 
 
 def test_link_geometry_beyond_both_ranges():
-    tx_nb, cs_set = neighbor_tables([(0.0, 0.0), (600.0, 0.0)], 250.0, 550.0)
+    tx_nb, cs_mask = neighbor_tables([(0.0, 0.0), (600.0, 0.0)], 250.0, 550.0)
     assert tx_nb == [[], []]
-    assert cs_set == [{0}, {1}]
+    assert cs_mask == [0b01, 0b10]
 
 
 def test_topology_rejects_tx_range_above_cs_range():
@@ -72,16 +74,36 @@ def test_topology_rejects_tx_range_above_cs_range():
 @given(st.lists(st.tuples(st.floats(0, 1000), st.floats(0, 1000)),
                 min_size=2, max_size=6))
 def test_link_geometry_symmetric(positions):
-    tx_nb, cs_set = neighbor_tables(positions, 250.0, 550.0)
+    tx_nb, cs_mask = neighbor_tables(positions, 250.0, 550.0)
+    n = len(positions)
     for a, (xa, ya) in enumerate(positions):
         assert tx_nb[a] == sorted(tx_nb[a])
-        assert a in cs_set[a] and a not in tx_nb[a]
+        assert cs_mask[a] >> a & 1 and a not in tx_nb[a]
+        assert 0 <= cs_mask[a] < 1 << n      # no bit beyond the last station
         for b, (xb, yb) in enumerate(positions):
             if a == b:
                 continue
             d = math.hypot(xa - xb, ya - yb)
             assert (b in tx_nb[a]) == (a in tx_nb[b]) == (d <= 250.0)
-            assert (b in cs_set[a]) == (a in cs_set[b]) == (d <= 550.0)
+            assert (cs_mask[a] >> b & 1) == (cs_mask[b] >> a & 1) == (d <= 550.0)
+
+
+@pytest.mark.parametrize("area_side, limit_kb", [(150.0, 1000), (1500.0, 400)])
+def test_medium_geometry_allocates_little(area_side, limit_kb):
+    # 200 stations: a clique, where every carrier-sense set holds all of
+    # them, and a sparse field.  The bounds hold carrier sensing to bit
+    # masks: per-station sets of ids take about 1990 and 790 KB here.
+    config = ScenarioConfig(n_transmitters=100, area_side=area_side)
+    positions, _flows = generate_topology(config, derive_seed(1, 0))
+    sim, metrics = Simulator(), Metrics()
+    tracemalloc.start()
+    try:
+        medium = Medium(sim, positions, metrics)
+        allocated, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(medium.tx_nb) == 200
+    assert allocated < limit_kb * 1024
 
 
 # -- carrier sensing --------------------------------------------------------

@@ -129,8 +129,10 @@ def test_pareto_credit_carries_across_off_phases():
 def test_make_source_dispatch():
     net = Network([(0.0, 0.0), (100.0, 0.0)], [(0, 1)])
     st = net.stations[0]
-    full = make_source(st, TrafficSpec(), substream(1, 0, "traffic"))
+    full = make_source(st, TrafficSpec(), 1)
     assert isinstance(full, FullBufferSource)
-    pareto = make_source(st, TrafficSpec(kind="pareto_on_off"),
-                         substream(1, 0, "traffic"))
+    pareto = make_source(st, TrafficSpec(kind="pareto_on_off"), 1)
     assert isinstance(pareto, ParetoOnOffSource)
+    # the Pareto source draws from the station's own traffic substream
+    expected = substream(1, 0, "traffic")
+    assert [pareto.rng.random() for _ in range(5)] == [expected.random() for _ in range(5)]
