@@ -182,6 +182,25 @@ def generate_topology(config, run_seed):
 
 # -- running ---------------------------------------------------------------
 
+def _check_flows(positions, flows):
+    """Reject a malformed flow.
+
+    A flow joins two distinct station ids, and a station is the source of
+    at most one flow, since a sender has one destination.
+    """
+    ids = range(len(positions))
+    sources = set()
+    for flow in flows:
+        src, dst = flow
+        if src not in ids or dst not in ids:
+            raise ConfigError(f"flow {flow!r} names a station outside ids 0..{len(ids) - 1}")
+        if src == dst:
+            raise ConfigError(f"flow {flow!r} sends from a station to itself")
+        if src in sources:
+            raise ConfigError(f"flow {flow!r} repeats source {src}: a station sends on one flow")
+        sources.add(src)
+
+
 class Network:
     """Stations at hand-placed ``positions`` wired for one run.
 
@@ -192,6 +211,7 @@ class Network:
     """
 
     def __init__(self, positions, flows, config, run_seed, trace=None):
+        _check_flows(positions, flows)
         self.config = config
         self.run_seed = run_seed
         self.positions = positions

@@ -62,10 +62,24 @@ def neighbor_tables(positions, tx_range, cs_range):
 
     tx_nb[a] lists the ids within tx_range of a in ascending order, a
     excluded; cs_mask[a] is an int with bit b set for each id b within
-    cs_range, a included.  Range tests are inclusive, and each unordered
-    pair's distance is computed once.
+    cs_range, a included.  Range tests are inclusive.
+
+    When the bounding box of all the positions has a diagonal within both
+    ranges, every station hears every other and the tables are written
+    out without a distance.  The box test keeps a 1e-9 relative margin, so
+    a layout near the boundary takes the general path instead: each
+    unordered pair's distance computed once.
     """
     n = len(positions)
+    if n:
+        xs = [x for x, _ in positions]
+        ys = [y for _, y in positions]
+        width = max(xs) - min(xs)
+        height = max(ys) - min(ys)
+        reach = min(tx_range, cs_range) * (1 - 1e-9)
+        if width * width + height * height <= reach * reach:
+            ids = list(range(n))
+            return [ids[:a] + ids[a + 1:] for a in range(n)], [(1 << n) - 1] * n
     hypot = math.hypot
     bits = [1 << a for a in range(n)]
     tx_nb = [[] for _ in range(n)]

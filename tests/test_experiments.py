@@ -2,10 +2,11 @@
 
 import csv
 import dataclasses
+import re
 
 import pytest
 
-from tokendcf import (ConfigError, MacParams, PhyParams, ScenarioConfig,
+from tokendcf import (ConfigError, MacParams, Network, PhyParams, ScenarioConfig,
                       TokenParams, TrafficSpec, derive_seed, generate_topology,
                       parse_config, run_scenario, run_sweep, simulate_run)
 from tokendcf.experiments import apply_sweep_value, write_csv
@@ -209,6 +210,27 @@ def test_distinct_run_indices_distinct_topologies():
 def test_smoke_run_token_protocol():
     rep = simulate_run(short_config(protocol="token_dcf"), 0)
     assert rep.throughput_bps > 0
+
+
+# -- hand-placed networks ---------------------------------------------------
+
+THREE = [(0.0, 0.0), (100.0, 0.0), (0.0, 100.0)]
+
+
+@pytest.mark.parametrize("flows, bad", [
+    ([(0, 1), (0, 2)], "(0, 2)"),    # a second destination for station 0
+    ([(1, 1)], "(1, 1)"),            # a station sending to itself
+    ([(0, 3)], "(0, 3)"),            # ids run 0..2
+    ([(-1, 0)], "(-1, 0)"),
+])
+def test_network_rejects_malformed_flows(flows, bad):
+    with pytest.raises(ConfigError, match=re.escape(bad)):
+        Network(THREE, flows, ScenarioConfig(), run_seed=1)
+
+
+def test_network_takes_shared_destinations_and_two_way_flows():
+    net = Network(THREE, [(0, 1), (2, 1), (1, 0)], ScenarioConfig(), run_seed=1)
+    assert [st.dst for st in net.stations] == [1, 0, 1]
 
 
 # -- sweeps and CSV ---------------------------------------------------------

@@ -88,6 +88,112 @@ def test_link_geometry_symmetric(positions):
             assert (cs_mask[a] >> b & 1) == (cs_mask[b] >> a & 1) == (d <= 550.0)
 
 
+def all_pairs_tables(positions, tx_range, cs_range):
+    """The reference: every unordered pair's distance, computed once."""
+    n = len(positions)
+    bits = [1 << a for a in range(n)]
+    tx_nb = [[] for _ in range(n)]
+    cs_mask = bits[:]
+    for a, (xa, ya) in enumerate(positions):
+        nb_a = tx_nb[a]
+        bit_a = bits[a]
+        cs_a = cs_mask[a]     # already holds the ids below a
+        for b in range(a + 1, n):
+            xb, yb = positions[b]
+            d = math.hypot(xa - xb, ya - yb)
+            if d <= cs_range:
+                cs_a |= bits[b]
+                cs_mask[b] |= bit_a
+                if d <= tx_range:
+                    nb_a.append(b)
+                    tx_nb[b].append(a)
+        cs_mask[a] = cs_a
+    return tx_nb, cs_mask
+
+
+@st.composite
+def layouts(draw):
+    side = draw(st.floats(100.0, 3000.0))
+    coordinate = st.floats(0.0, side)
+    return draw(st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(layouts())
+def test_neighbor_tables_equal_all_pairs(positions):
+    assert neighbor_tables(positions, 250.0, 550.0) == all_pairs_tables(positions, 250.0, 550.0)
+
+
+# 10 m lattice points: 3-4-5 and 33-44-55 triangles and straight runs put
+# station pairs at exactly 250 and 550 m, and repeated points put several
+# stations at one spot
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+                min_size=2, max_size=60))
+def test_neighbor_tables_equal_all_pairs_on_a_lattice(points):
+    positions = [(10.0 * i, 10.0 * j) for i, j in points]
+    assert neighbor_tables(positions, 250.0, 550.0) == all_pairs_tables(positions, 250.0, 550.0)
+
+
+def test_neighbor_tables_equal_all_pairs_at_the_ranges():
+    # each station sits at exactly 250 or 550 m from others, or on another
+    positions = [(0.0, 0.0), (250.0, 0.0), (150.0, 200.0), (550.0, 0.0), (330.0, 440.0),
+                 (0.0, 550.0), (0.0, 0.0), (250.0, 0.0), (-250.0, 0.0), (-330.0, -440.0)]
+    tables = neighbor_tables(positions, 250.0, 550.0)
+    assert tables == all_pairs_tables(positions, 250.0, 550.0)
+    assert tables[0][0] == [1, 2, 6, 7, 8]
+
+
+# the transmitter count and area of each benchmark workload, over its runs
+@pytest.mark.parametrize("n_tx, area_side, runs", [(20, 150.0, 2), (100, 150.0, 2),
+                                                   (100, 1500.0, 8)])
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_neighbor_tables_equal_all_pairs_on_workload_layouts(n_tx, area_side, runs, seed):
+    config = ScenarioConfig(n_transmitters=n_tx, area_side=area_side)
+    for run in range(runs):
+        positions, _flows = generate_topology(config, derive_seed(seed, run))
+        assert (neighbor_tables(positions, 250.0, 550.0)
+                == all_pairs_tables(positions, 250.0, 550.0))
+
+
+# the corners of a box whose diagonal is 250 m, scaled: a clique just inside
+# tx range, one on the boundary, one just outside, one in cs range only
+@pytest.mark.parametrize("scale", [1 - 1e-6, 1.0, 1 + 1e-6, 2.0])
+def test_neighbor_tables_equal_all_pairs_near_the_box_boundary(scale):
+    positions = [(0.0, 0.0), (150.0 * scale, 200.0 * scale), (150.0 * scale, 0.0),
+                 (0.0, 200.0 * scale), (75.0 * scale, 100.0 * scale)]
+    tables = neighbor_tables(positions, 250.0, 550.0)
+    assert tables == all_pairs_tables(positions, 250.0, 550.0)
+    assert tables[1] == [0b11111] * 5
+    assert (tables[0][0] == [1, 2, 3, 4]) == (scale <= 1.0)
+
+
+def test_neighbor_tables_of_one_station_and_none():
+    assert neighbor_tables([(5.0, 5.0)], 250.0, 550.0) == ([[]], [0b1])
+    assert neighbor_tables([], 250.0, 550.0) == ([], [])
+
+
+@pytest.mark.parametrize("area_side, limit", [(150.0, 0), (1500.0, 19_900)])
+def test_neighbor_tables_compute_few_distances(monkeypatch, area_side, limit):
+    # 200 stations have 19 900 pairs.  A clique within tx range is settled
+    # from its bounding box; a sparse field computes each pair's distance once.
+    config = ScenarioConfig(n_transmitters=100, area_side=area_side)
+    positions, _flows = generate_topology(config, derive_seed(1, 0))
+    calls = 0
+    hypot = math.hypot
+
+    def counting_hypot(*coordinates):
+        nonlocal calls
+        calls += 1
+        return hypot(*coordinates)
+
+    monkeypatch.setattr(math, "hypot", counting_hypot)
+    tx_nb, _cs_mask = neighbor_tables(positions, 250.0, 550.0)
+    monkeypatch.undo()
+    assert len(tx_nb) == 200
+    assert calls <= limit
+
+
 @pytest.mark.parametrize("area_side, limit_kb", [(150.0, 1000), (1500.0, 400)])
 def test_medium_geometry_allocates_little(area_side, limit_kb):
     # 200 stations: a clique, where every carrier-sense set holds all of
