@@ -4,15 +4,17 @@ All simulation time is kept in integer microseconds so that slot/SIFS/DIFS
 arithmetic stays exact.  Event delivery order is the strict total order
 (fire_at, seq), which makes every run reproducible for a fixed seed.
 
-Every scheduled event fires exactly once: there is no cancel.  A callback
-whose work was superseded (an ACK timeout after its ACK arrived) fires and
-does nothing.  Beside the event heap the simulator keeps one alarm: a single
-callback at a single time that its owner moves again and again (the
-medium's contention wake-up).  Setting it takes the next ``seq``, exactly as
-``schedule`` would, and setting it again replaces it, so moving it leaves no
-entry in the heap.  The loop fires whichever of the heap's first entry and
-the alarm comes first by (fire_at, seq), so the delivery order is the one
-the alarm would have as a heap entry.
+Every scheduled event fires exactly once, unless the simulator is closed
+first: there is no cancel, and ``close()`` drops the events still pending,
+which then never fire.  A callback whose work was superseded (an ACK timeout
+after its ACK arrived) fires and does nothing.  Beside the event heap the
+simulator keeps one alarm: a single callback at a single time that its owner
+moves again and again (the medium's contention wake-up).  Setting it takes
+the next ``seq``, exactly as ``schedule`` would, and setting it again
+replaces it, so moving it leaves no entry in the heap.  The loop fires
+whichever of the heap's first entry and the alarm comes first by
+(fire_at, seq), so the delivery order is the one the alarm would have as a
+heap entry.
 """
 
 import hashlib
@@ -28,16 +30,17 @@ class Simulator:
     """Single-threaded event loop over integer-microsecond virtual time.
 
     ``schedule`` queues a callback that fires once; ``set_alarm`` (re)sets
-    the one alarm.
+    the one alarm; ``close`` drops both, and the loop runs no more.
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_alarm")
+    __slots__ = ("now", "_heap", "_seq", "_alarm", "_closed")
 
     def __init__(self):
         self.now = 0
         self._heap = []
         self._seq = 0
         self._alarm = None   # (fire_at, seq, callback) while pending, else None
+        self._closed = False
 
     def schedule(self, delay, callback):
         if delay < 0:
@@ -57,6 +60,8 @@ class Simulator:
 
         Virtual time then stands at ``t_end``; later ones stay pending.
         """
+        if self._closed:
+            raise SimError("the simulator is closed")
         if t_end < self.now:
             raise SimError("t_end precedes current virtual time")
         heap = self._heap
@@ -77,6 +82,16 @@ class Simulator:
             fired += 1
         self.now = t_end
         return fired
+
+    def close(self):
+        """Drop the pending events and the alarm; ``run_until`` raises from now on.
+
+        Their callbacks are bound to the objects that scheduled them, which
+        hold the simulator in turn: dropping them breaks those cycles.
+        """
+        self._heap.clear()
+        self._alarm = None
+        self._closed = True
 
 
 def derive_seed(seed, *tags):

@@ -155,8 +155,14 @@ def parse_config(source):
 
 
 def load_config(path):
-    with open(path) as fh:
-        return parse_config(fh.read())
+    """Build a ScenarioConfig from the UTF-8 config file at ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    return parse_config(text)
 
 
 # -- topology --------------------------------------------------------------
@@ -245,6 +251,21 @@ class Network:
         self.sim.run_until(horizon_us)
         return summarize(self.metrics, horizon_us, self.config.phy.slot_time)
 
+    def close(self):
+        """Break the run's reference cycles, so that dropping the network frees it.
+
+        The pending events, the medium's station table, each station's
+        source and each scheduler's ``on_grant`` tie the run's objects into
+        cycles that only a full ``gc`` pass would free.  Counters, queues,
+        ``metrics`` and the trace stay readable.  The pending events are
+        dropped, so a closed network must not be run again: ``run`` raises.
+        Closing twice is harmless.
+        """
+        self.sim.close()
+        self.medium.close()
+        for st in self.stations:
+            st.close()
+
 
 class Simulation(Network):
     """One generated run: the config's topology, its traffic sources, its horizon."""
@@ -264,7 +285,10 @@ class Simulation(Network):
 def simulate_run(config, run_index, trace=None):
     run_seed = derive_seed(config.seed, run_index)
     sim = Simulation(config, run_seed, trace=trace)
-    return sim.run()
+    try:
+        return sim.run()
+    finally:
+        sim.close()   # the run is freed as soon as it is dropped
 
 
 # -- result rows and sweeps ------------------------------------------------

@@ -71,6 +71,12 @@ class Station:
             scheduler.on_grant = self.on_grant
             medium.register_listener(sid, scheduler.on_receive_data)
 
+    def close(self):
+        """Break the cycles through this station's source and its scheduler's ``on_grant``."""
+        self.source = None
+        if self.scheduler is not None:
+            self.scheduler.close()
+
     # -- queueing ----------------------------------------------------------
 
     def enqueue_packet(self):

@@ -175,6 +175,10 @@ class Medium:
         for st in stations:
             self.stations[st.sid] = st
 
+    def close(self):
+        """Unbind the stations: the medium's links back to the objects that hold it."""
+        self.stations = {}
+
     def subscribe(self, sid):
         """Put a contending station into the carrier-sense group of its cs_mask.
 

@@ -83,6 +83,10 @@ class TokenScheduler:
     def on_timer_expired(self):
         self.flag = 0
 
+    def close(self):
+        """Forget the installed ``on_grant``, the link back to the station."""
+        self.on_grant = _no_station
+
     # -- Adapt controller --------------------------------------------------
 
     def adapt(self, src):

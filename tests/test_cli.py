@@ -49,6 +49,15 @@ def test_readme_example_config_parses():
     assert parse_config(example).protocol == "token_dcf"
 
 
+def test_config_not_utf8_reports_error(tmp_path, capsys):
+    # it used to escape as a UnicodeDecodeError traceback with exit code 1
+    path = tmp_path / "utf16.ini"
+    path.write_bytes(b"\xff\xfe" + "[experiment]\n".encode("utf-16-le"))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "utf16.ini" in err and "UTF-8" in err
+
+
 def test_missing_config_file_reports_error(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.ini")]) == 2
     assert "config error" in capsys.readouterr().err

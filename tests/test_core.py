@@ -1,4 +1,6 @@
-"""Event engine ordering, the alarm and the seeded random streams."""
+"""Event engine ordering, the alarm, closing and the seeded random streams."""
+
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,29 @@ def test_alarm_in_the_past_rejected():
     sim.run_until(20)
     with pytest.raises(SimError):
         sim.set_alarm(19, lambda: None)
+
+
+# -- closing ----------------------------------------------------------------
+
+class _Owner:
+    def tick(self):
+        pass
+
+
+def test_close_drops_pending_events_and_the_alarm():
+    sim = Simulator()
+    by_event, by_alarm = _Owner(), _Owner()
+    sim.schedule(5, by_event.tick)
+    sim.set_alarm(7, by_alarm.tick)
+    refs = [weakref.ref(by_event), weakref.ref(by_alarm)]
+    del by_event, by_alarm
+    assert all(ref() is not None for ref in refs)   # held by their callbacks
+    sim.close()
+    assert [ref() for ref in refs] == [None, None]
+    sim.close()
+    with pytest.raises(SimError, match="closed"):
+        sim.run_until(10)
+    assert sim.now == 0
 
 
 @settings(max_examples=50, deadline=None)

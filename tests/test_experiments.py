@@ -1,14 +1,21 @@
 """Scenario configs, topology generation, run orchestration, CSV emission."""
 
+import contextlib
+import copy
 import csv
 import dataclasses
+import gc
 import re
+import tracemalloc
+import weakref
 
 import pytest
 
-from tokendcf import (ConfigError, MacParams, Network, PhyParams, ScenarioConfig,
-                      TokenParams, TrafficSpec, derive_seed, generate_topology,
-                      parse_config, run_scenario, run_sweep, simulate_run)
+from tokendcf import (ConfigError, FullBufferSource, MacParams, Metrics, Network,
+                      PhyParams, ScenarioConfig, TokenParams, TrafficSpec, derive_seed,
+                      generate_topology, parse_config, run_scenario, run_sweep,
+                      simulate_run)
+from tokendcf.core import SimError
 from tokendcf.experiments import apply_sweep_value, write_csv
 
 
@@ -210,6 +217,84 @@ def test_distinct_run_indices_distinct_topologies():
 def test_smoke_run_token_protocol():
     rep = simulate_run(short_config(protocol="token_dcf"), 0)
     assert rep.throughput_bps > 0
+
+
+# -- freeing finished runs --------------------------------------------------
+
+@contextlib.contextmanager
+def gc_off():
+    """Only refcounting frees objects inside; earlier garbage is collected first."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["full_buffer", "pareto_on_off"])
+@pytest.mark.parametrize("protocol", ["dcf", "token_dcf"])
+def test_finished_run_leaves_no_cyclic_garbage(protocol, kind):
+    cfg = short_config(protocol=protocol, n_transmitters=10, duration_s=0.1,
+                       traffic=TrafficSpec(kind=kind))
+    with gc_off():
+        report = simulate_run(cfg, 0)
+        assert gc.collect() == 0
+    assert report.delivered_packets > 0
+
+
+def _traced_peak(config):
+    with gc_off():
+        tracemalloc.start()
+        try:
+            run_scenario(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_runs_of_a_scenario_do_not_pile_up():
+    # each run is freed as it ends, so four runs peak about where one does
+    cfg = short_config(protocol="token_dcf", n_transmitters=10, duration_s=0.1, runs=1)
+    one = _traced_peak(cfg)
+    four = _traced_peak(dataclasses.replace(cfg, runs=4))
+    assert four < 1.5 * one
+
+
+def _station_state(net):
+    return [(st.enqueued, st.delivered, st.dropped_full, st.dropped_retry,
+             list(st.queue), st.cw, st.retries, st.phase) for st in net.stations]
+
+
+def _metrics_state(metrics):
+    return {name: copy.copy(getattr(metrics, name)) for name in Metrics.__slots__}
+
+
+def test_close_keeps_the_results_and_frees_the_network():
+    trace = []
+    net = Network(THREE, [(0, 1), (2, 1)], ScenarioConfig(protocol="token_dcf"),
+                  run_seed=1, trace=trace)
+    for src, _dst in net.flows:
+        FullBufferSource(net.stations[src]).start()
+    report = net.run(200_000)
+    stations, metrics, records = _station_state(net), _metrics_state(net.metrics), list(trace)
+    assert report.delivered_packets > 0 and len(records) > 0
+
+    with gc_off():
+        net.close()
+        assert _station_state(net) == stations
+        assert _metrics_state(net.metrics) == metrics
+        assert trace == records
+        for enqueued, delivered, dropped_full, dropped_retry, queue, *_ in stations:
+            assert enqueued == delivered + dropped_full + dropped_retry + len(queue)
+        net.close()   # a second close is harmless
+        assert _station_state(net) == stations
+        with pytest.raises(SimError, match="closed"):
+            net.run(400_000)   # its pending events are gone
+        alive = weakref.ref(net), weakref.ref(net.medium)
+        del net
+        assert [ref() for ref in alive] == [None, None]
+    assert trace == records
 
 
 # -- hand-placed networks ---------------------------------------------------
