@@ -10,12 +10,9 @@ with the medium for overheard frames, and the scheduler calls the station's
 ``on_grant`` when a decoded frame names it.
 """
 
-import logging
 from collections import deque
 
 from .frames import ACK, DATA, MacFrame, frame_airtime
-
-log = logging.getLogger(__name__)
 
 IDLE = 0
 WAITING = 1
@@ -157,8 +154,6 @@ class Station:
         if frame.kind == ACK:
             if frame.dst == self.sid and self.phase == AWAIT_ACK:
                 self._ack_received()
-            else:
-                log.debug("station %d: unexpected ack from %d ignored", self.sid, frame.src)
             return
         if self.scheduler is not None:
             self.scheduler.on_receive_data(frame)

@@ -8,15 +8,19 @@ corrupted too (half-duplex).  Propagation delay is zero.  A decoded frame goes
 to the addressed station's ``on_frame``; a decoded DATA frame also goes to the
 ``on_data`` callback of every other station that registered as a listener.
 
-Carrier-sense sets are int bit masks: bit b of cs_mask[a] is set exactly
-when b lies within cs_range of a (a itself included).  Collisions are
-recorded as overlaps, not as receivers.  When a frame starts, it and each
-frame still on the air OR each other's source cs_mask into their ``spoil``
-mask: O(1) per overlapping pair, with no set built.  A receiver in tx range
-is spoiled exactly when its bit is set in ``spoil``, so the spoiled receivers
-are worked out once when the frame ends, and only for the receivers it is
-handed to: the addressed one and, for DATA, the overhearers.  Bits outside
-the source's tx neighbours change no verdict, since every receiver is one.
+Neighbour sets are int bit masks.  Bit b of tx_mask[a] is set exactly
+when b lies within tx_range of a (a itself excluded), and bit b of
+cs_mask[a] when b lies within cs_range of a (a itself included).  Collisions
+are recorded as overlaps, not as receivers.  When a frame starts, it and
+each frame still on the air OR each other's source cs_mask into their
+``spoil`` mask: O(1) per overlapping pair, with no set built.  A receiver in
+tx range is spoiled exactly when its bit is set in ``spoil``, so the spoiled
+receivers are worked out once when the frame ends, and only for the
+receivers it is handed to: the addressed one and, for DATA, the overhearers.
+Bits outside the source's tx neighbours change no verdict, since every
+receiver is one.  The trace's ``end`` record holds the delivered and the
+corrupted receivers as masks too, so a frame that collides in a clique costs
+one AND there instead of a tuple of every station it spoiled.
 
 The medium also runs the contention clock for the MAC layers, kept per
 carrier-sense group: the contending stations that share one cs_mask.  They
@@ -44,7 +48,7 @@ behind in the heap.
 """
 
 import math
-from bisect import bisect_left, insort
+from bisect import insort
 from heapq import heapify, heappop, heappush
 from itertools import compress, count
 
@@ -58,11 +62,11 @@ class MediumError(Exception):
 
 
 def neighbor_tables(positions, tx_range, cs_range):
-    """(tx_nb, cs_mask) for stations at ``positions``, a list of (x, y) in m.
+    """(tx_mask, cs_mask) for stations at ``positions``, a list of (x, y) in m.
 
-    tx_nb[a] lists the ids within tx_range of a in ascending order, a
-    excluded; cs_mask[a] is an int with bit b set for each id b within
-    cs_range, a included.  Range tests are inclusive.
+    Both are lists of ints, one per station.  tx_mask[a] has bit b set for
+    each id b within tx_range of a, a excluded; cs_mask[a] has bit b set for
+    each id b within cs_range, a included.  Range tests are inclusive.
 
     When the bounding box of all the positions has a diagonal within both
     ranges, every station hears every other and the tables are written
@@ -78,16 +82,16 @@ def neighbor_tables(positions, tx_range, cs_range):
         height = max(ys) - min(ys)
         reach = min(tx_range, cs_range) * (1 - 1e-9)
         if width * width + height * height <= reach * reach:
-            ids = list(range(n))
-            return [ids[:a] + ids[a + 1:] for a in range(n)], [(1 << n) - 1] * n
+            everyone = (1 << n) - 1
+            return [everyone ^ 1 << a for a in range(n)], [everyone] * n
     hypot = math.hypot
     bits = [1 << a for a in range(n)]
-    tx_nb = [[] for _ in range(n)]
+    tx_mask = [0] * n
     cs_mask = bits[:]
     for a, (xa, ya) in enumerate(positions):
-        nb_a = tx_nb[a]
         bit_a = bits[a]
-        cs_a = cs_mask[a]     # already holds the ids below a
+        tx_a = tx_mask[a]     # both already hold the ids below a
+        cs_a = cs_mask[a]
         for b in range(a + 1, n):
             xb, yb = positions[b]
             d = hypot(xa - xb, ya - yb)
@@ -95,10 +99,11 @@ def neighbor_tables(positions, tx_range, cs_range):
                 cs_a |= bits[b]
                 cs_mask[b] |= bit_a
                 if d <= tx_range:
-                    nb_a.append(b)
-                    tx_nb[b].append(a)
+                    tx_a |= bits[b]
+                    tx_mask[b] |= bit_a
+        tx_mask[a] = tx_a
         cs_mask[a] = cs_a
-    return tx_nb, cs_mask
+    return tx_mask, cs_mask
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -140,17 +145,16 @@ class Medium:
         self.sim = sim
         self.metrics = metrics
         # list for (t, "tx", src, kind, end, dst) and (t, "end", src, kind,
-        # delivered, corrupted) records, receiver ids sorted; or None
+        # delivered, corrupted) records, receivers as bit masks; or None
         self.trace = trace
-        self._spoiled = {}       # corrupted set (sorted tuple) -> the copy the trace holds
         n = len(positions)
         phy = phy or PhyParams()   # radii and timing, for the medium and every station on it
         self.phy = phy
         self._sifs = phy.sifs
         self._difs = phy.difs
         self._slot = phy.slot_time
-        # precomputed geometry: per-source sorted neighbor lists and cs masks
-        self.tx_nb, self.cs_mask = neighbor_tables(positions, phy.tx_range, phy.cs_range)
+        # precomputed geometry: per-station tx and cs neighbour masks
+        self.tx_mask, self.cs_mask = neighbor_tables(positions, phy.tx_range, phy.cs_range)
 
         self.stations = {}       # sid -> station object, bound via bind()
         self._active = {}        # src -> ActiveTransmission
@@ -207,7 +211,7 @@ class Medium:
             raise MediumError(f"station {sid} already listens")
         self._listeners.add(sid)
         entry = (sid, on_data)
-        for src in self.tx_nb[sid]:   # tx range is symmetric
+        for src in _members(self.tx_mask[sid]):   # tx range is symmetric
             insort(self._overhear[src], entry)
 
     # -- sensing ----------------------------------------------------------
@@ -415,28 +419,24 @@ class Medium:
         frame = tx.frame
         stations = self.stations
         spoil = tx.spoil
-        nb = self.tx_nb[src]
+        heard = self.tx_mask[src]
         dst = frame.dst
         # DATA: overhearers want the scheduling header
         overhear = self._overhear[src] if frame.kind == 0 else ()
         trace = self.trace
-        delivered_to = [] if trace is not None else None
+        delivered = 0
         # addressed receiver first so its response wins same-instant ties
-        i = bisect_left(nb, dst)
-        if i < len(nb) and nb[i] == dst and not (spoil and spoil >> dst & 1):
+        if heard >> dst & 1 and not (spoil and spoil >> dst & 1):
             stations[dst].on_frame(frame)
-            if delivered_to is not None:
-                delivered_to.append(dst)
+            if trace is not None:
+                delivered = 1 << dst
         for r, on_data in overhear:
             if r != dst and not (spoil and spoil >> r & 1):
                 on_data(frame)
-                if delivered_to is not None:
-                    delivered_to.append(r)
+                if trace is not None:
+                    delivered |= 1 << r
         if trace is not None:
-            corrupted = tuple(r for r in nb if spoil >> r & 1)
-            # collisions spoil the same receivers again and again: keep one copy
-            corrupted = self._spoiled.setdefault(corrupted, corrupted)
-            trace.append((now, "end", src, frame.kind, tuple(sorted(delivered_to)), corrupted))
+            trace.append((now, "end", src, frame.kind, delivered, heard & spoil))
 
         stations[src].on_tx_complete(frame)
         for group in newly_idle:

@@ -47,11 +47,17 @@ class Recorder:
         self.events.append((self.sim.now, "fire", None))
 
 
+def ids(mask):
+    """The station ids whose bits are set in ``mask``, as an ascending tuple."""
+    return tuple(b for b in range(mask.bit_length()) if mask >> b & 1)
+
+
 def finished_frames(trace):
     """(src, start, end, kind, corrupted, delivered) per "end" record of a trace.
 
-    In the order the frames ended; the start and end instants come from the
-    source's last "tx" record (a station sends one frame at a time).
+    In the order the frames ended, with both receiver masks decoded to
+    ascending id tuples; the start and end instants come from the source's
+    last "tx" record (a station sends one frame at a time).
     """
     aired = {}
     frames = []
@@ -61,6 +67,6 @@ def finished_frames(trace):
         else:
             _t, _end, src, kind, delivered, corrupted = rec
             start, _tx, _src, _kind, end, _dst = aired[src]
-            frames.append((src, start, end, kind, corrupted, delivered))
+            frames.append((src, start, end, kind, ids(corrupted), ids(delivered)))
     return frames
 

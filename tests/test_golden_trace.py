@@ -3,17 +3,18 @@
 Each case runs one seeded simulation with the medium's trace on and hashes
 the channel records and the run's ``MetricsReport``.  The records are hashed
 in the layout they had when the table was pinned, both rebuilt from the one
-stream: the trace with five-field ``end`` records (no corrupted set), then
-the log of finished frames.  A refactor must leave every digest unchanged.
-A change that alters behaviour on purpose replaces the table below with the
-one printed on failure, and says so in CHANGES.md.
+stream: the trace with five-field ``end`` records (the delivered ids as a
+sorted tuple, no corrupted set), then the log of finished frames.  A
+refactor must leave every digest unchanged.  A change that alters behaviour
+on purpose replaces the table below with the one printed on failure, and
+says so in CHANGES.md.
 """
 
 import hashlib
 
 from tokendcf import ScenarioConfig, Simulation, TrafficSpec, derive_seed
 
-from conftest import Network, finished_frames
+from conftest import Network, finished_frames, ids
 
 PARETO = TrafficSpec(kind="pareto_on_off", packet_size=1500, rate_bps=1e6)
 
@@ -54,8 +55,9 @@ def run_digest(config, run_index):
 def trace_digest(trace, report):
     """sha256 (first 16 hex digits) of a trace, its frame log and a report."""
     digest = hashlib.sha256()
-    # the pinned layout: "end" records without the corrupted set
-    digest.update(repr([rec[:5] if rec[1] == "end" else rec for rec in trace]).encode())
+    # the pinned layout: "end" records with the delivered ids, without the corrupted set
+    digest.update(repr([rec[:4] + (ids(rec[4]),) if rec[1] == "end" else rec
+                        for rec in trace]).encode())
     digest.update(repr(finished_frames(trace)).encode())
     digest.update(repr(report).encode())
     return digest.hexdigest()[:16]

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokendcf import (ACK, DATA, ConfigError, MacFrame, Medium, Metrics,
-                      PhyParams, ScenarioConfig, Simulator, Station, derive_seed,
-                      generate_topology)
+                      PhyParams, ScenarioConfig, Simulation, Simulator, Station,
+                      derive_seed, generate_topology)
 from tokendcf.medium import MediumError, neighbor_tables
 
 from conftest import Recorder, finished_frames
@@ -47,20 +47,20 @@ def corrupted(medium):
 # -- geometry ---------------------------------------------------------------
 
 def test_link_geometry_boundary_inclusive_at_250():
-    tx_nb, cs_mask = neighbor_tables([(0.0, 0.0), (250.0, 0.0)], 250.0, 550.0)
-    assert tx_nb == [[1], [0]]
+    tx_mask, cs_mask = neighbor_tables([(0.0, 0.0), (250.0, 0.0)], 250.0, 550.0)
+    assert tx_mask == [0b10, 0b01]
     assert cs_mask == [0b11, 0b11]
 
 
 def test_link_geometry_between_ranges():
-    tx_nb, cs_mask = neighbor_tables([(0.0, 0.0), (400.0, 0.0)], 250.0, 550.0)
-    assert tx_nb == [[], []]
+    tx_mask, cs_mask = neighbor_tables([(0.0, 0.0), (400.0, 0.0)], 250.0, 550.0)
+    assert tx_mask == [0, 0]
     assert cs_mask == [0b11, 0b11]
 
 
 def test_link_geometry_beyond_both_ranges():
-    tx_nb, cs_mask = neighbor_tables([(0.0, 0.0), (600.0, 0.0)], 250.0, 550.0)
-    assert tx_nb == [[], []]
+    tx_mask, cs_mask = neighbor_tables([(0.0, 0.0), (600.0, 0.0)], 250.0, 550.0)
+    assert tx_mask == [0, 0]
     assert cs_mask == [0b01, 0b10]
 
 
@@ -74,41 +74,36 @@ def test_topology_rejects_tx_range_above_cs_range():
 @given(st.lists(st.tuples(st.floats(0, 1000), st.floats(0, 1000)),
                 min_size=2, max_size=6))
 def test_link_geometry_symmetric(positions):
-    tx_nb, cs_mask = neighbor_tables(positions, 250.0, 550.0)
+    tx_mask, cs_mask = neighbor_tables(positions, 250.0, 550.0)
     n = len(positions)
     for a, (xa, ya) in enumerate(positions):
-        assert tx_nb[a] == sorted(tx_nb[a])
-        assert cs_mask[a] >> a & 1 and a not in tx_nb[a]
-        assert 0 <= cs_mask[a] < 1 << n      # no bit beyond the last station
+        assert cs_mask[a] >> a & 1 and not tx_mask[a] >> a & 1
+        # no bit beyond the last station
+        assert 0 <= tx_mask[a] < 1 << n and 0 <= cs_mask[a] < 1 << n
         for b, (xb, yb) in enumerate(positions):
             if a == b:
                 continue
             d = math.hypot(xa - xb, ya - yb)
-            assert (b in tx_nb[a]) == (a in tx_nb[b]) == (d <= 250.0)
+            assert (tx_mask[a] >> b & 1) == (tx_mask[b] >> a & 1) == (d <= 250.0)
             assert (cs_mask[a] >> b & 1) == (cs_mask[b] >> a & 1) == (d <= 550.0)
 
 
 def all_pairs_tables(positions, tx_range, cs_range):
     """The reference: every unordered pair's distance, computed once."""
     n = len(positions)
-    bits = [1 << a for a in range(n)]
-    tx_nb = [[] for _ in range(n)]
-    cs_mask = bits[:]
+    tx_mask = [0] * n
+    cs_mask = [1 << a for a in range(n)]
     for a, (xa, ya) in enumerate(positions):
-        nb_a = tx_nb[a]
-        bit_a = bits[a]
-        cs_a = cs_mask[a]     # already holds the ids below a
         for b in range(a + 1, n):
             xb, yb = positions[b]
             d = math.hypot(xa - xb, ya - yb)
             if d <= cs_range:
-                cs_a |= bits[b]
-                cs_mask[b] |= bit_a
+                cs_mask[a] |= 1 << b
+                cs_mask[b] |= 1 << a
                 if d <= tx_range:
-                    nb_a.append(b)
-                    tx_nb[b].append(a)
-        cs_mask[a] = cs_a
-    return tx_nb, cs_mask
+                    tx_mask[a] |= 1 << b
+                    tx_mask[b] |= 1 << a
+    return tx_mask, cs_mask
 
 
 @st.composite
@@ -141,7 +136,7 @@ def test_neighbor_tables_equal_all_pairs_at_the_ranges():
                  (0.0, 550.0), (0.0, 0.0), (250.0, 0.0), (-250.0, 0.0), (-330.0, -440.0)]
     tables = neighbor_tables(positions, 250.0, 550.0)
     assert tables == all_pairs_tables(positions, 250.0, 550.0)
-    assert tables[0][0] == [1, 2, 6, 7, 8]
+    assert tables[0][0] == 0b111000110
 
 
 # the transmitter count and area of each benchmark workload, over its runs
@@ -165,11 +160,11 @@ def test_neighbor_tables_equal_all_pairs_near_the_box_boundary(scale):
     tables = neighbor_tables(positions, 250.0, 550.0)
     assert tables == all_pairs_tables(positions, 250.0, 550.0)
     assert tables[1] == [0b11111] * 5
-    assert (tables[0][0] == [1, 2, 3, 4]) == (scale <= 1.0)
+    assert (tables[0][0] == 0b11110) == (scale <= 1.0)
 
 
 def test_neighbor_tables_of_one_station_and_none():
-    assert neighbor_tables([(5.0, 5.0)], 250.0, 550.0) == ([[]], [0b1])
+    assert neighbor_tables([(5.0, 5.0)], 250.0, 550.0) == ([0], [0b1])
     assert neighbor_tables([], 250.0, 550.0) == ([], [])
 
 
@@ -188,17 +183,19 @@ def test_neighbor_tables_compute_few_distances(monkeypatch, area_side, limit):
         return hypot(*coordinates)
 
     monkeypatch.setattr(math, "hypot", counting_hypot)
-    tx_nb, _cs_mask = neighbor_tables(positions, 250.0, 550.0)
+    tx_mask, _cs_mask = neighbor_tables(positions, 250.0, 550.0)
     monkeypatch.undo()
-    assert len(tx_nb) == 200
+    assert len(tx_mask) == 200
     assert calls <= limit
 
 
-@pytest.mark.parametrize("area_side, limit_kb", [(150.0, 1000), (1500.0, 400)])
+@pytest.mark.parametrize("area_side, limit_kb", [(150.0, 100), (1500.0, 400)])
 def test_medium_geometry_allocates_little(area_side, limit_kb):
-    # 200 stations: a clique, where every carrier-sense set holds all of
-    # them, and a sparse field.  The bounds hold carrier sensing to bit
-    # masks: per-station sets of ids take about 1990 and 790 KB here.
+    # 200 stations: a clique, where every neighbour set holds all of them,
+    # and a sparse field.  The bounds hold both tables to bit masks (about
+    # 37 and 51 KB): per-station sets of ids take about 1990 and 790 KB
+    # here, and sorted id lists for the tx neighbours alone 310 KB in the
+    # clique.
     config = ScenarioConfig(n_transmitters=100, area_side=area_side)
     positions, _flows = generate_topology(config, derive_seed(1, 0))
     sim, metrics = Simulator(), Metrics()
@@ -208,8 +205,19 @@ def test_medium_geometry_allocates_little(area_side, limit_kb):
         allocated, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(medium.tx_nb) == 200
+    assert len(medium.tx_mask) == 200
     assert allocated < limit_kb * 1024
+
+
+def test_trace_of_a_dense_clique_stays_small():
+    # the golden clique100 case: 100 DCF senders, mostly colliding.  Each
+    # "end" record holds its receivers as two ints (about 105 KB of text in
+    # all); tuples of the corrupted ids take about 640 KB.
+    config = ScenarioConfig(n_transmitters=100, area_side=150.0, duration_s=0.05, seed=1)
+    trace = []
+    Simulation(config, derive_seed(1, 0), trace=trace).run()
+    assert any(rec[1] == "end" and rec[5] for rec in trace)
+    assert len(repr(trace)) < 200 * 1024
 
 
 # -- carrier sensing --------------------------------------------------------
