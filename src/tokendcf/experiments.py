@@ -4,6 +4,7 @@ import configparser
 import csv
 import dataclasses
 import io
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -188,6 +189,22 @@ def generate_topology(config, run_seed):
 
 # -- running ---------------------------------------------------------------
 
+def _check_positions(positions):
+    """Reject a position that is not a pair of finite numbers.
+
+    The neighbour tables sweep the stations in x order, and a nan leaves
+    that order undefined.
+    """
+    for sid, position in enumerate(positions):
+        try:
+            x, y = position
+            finite = math.isfinite(x) and math.isfinite(y)
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ConfigError(f"station {sid} is at {position!r}, not at a pair of finite numbers")
+
+
 def _check_flows(positions, flows):
     """Reject a malformed flow.
 
@@ -217,6 +234,7 @@ class Network:
     """
 
     def __init__(self, positions, flows, config, run_seed, trace=None):
+        _check_positions(positions)
         _check_flows(positions, flows)
         self.config = config
         self.run_seed = run_seed

@@ -48,7 +48,7 @@ behind in the heap.
 """
 
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from heapq import heapify, heappop, heappush
 from itertools import compress, count
 
@@ -61,49 +61,97 @@ class MediumError(Exception):
     pass
 
 
+def _band(r):
+    """(lo, hi): a computed squared distance below lo is within r, above hi beyond it.
+
+    The computed ``dx * dx + dy * dy`` and ``math.hypot`` are each within a
+    few ulps of the true value, so a squared distance more than 1e-9 away
+    from r * r settles the pair as the hypot test would.  Where r * r
+    comes near underflow or overflow, squares lose that precision and no
+    band is trusted: (-1, inf).
+    """
+    r2 = r * r
+    if not 1e-290 < r2 < 1e290:
+        return -1.0, _INF
+    return r2 * (1 - 1e-9), r2 * (1 + 1e-9)
+
+
 def neighbor_tables(positions, tx_range, cs_range):
-    """(tx_mask, cs_mask) for stations at ``positions``, a list of (x, y) in m.
+    """(tx_mask, cs_mask) for stations at ``positions``, a list of finite (x, y) in m.
 
-    Both are lists of ints, one per station.  tx_mask[a] has bit b set for
-    each id b within tx_range of a, a excluded; cs_mask[a] has bit b set for
-    each id b within cs_range, a included.  Range tests are inclusive.
+    tx_range is at most cs_range.  Both tables are lists of ints, one per
+    station.  tx_mask[a] has bit b set for each id b within tx_range of a,
+    a excluded; cs_mask[a] has bit b set for each id b within cs_range, a
+    included.  Range tests are inclusive, on ``math.hypot`` of the
+    coordinate differences.
 
-    When the bounding box of all the positions has a diagonal within both
-    ranges, every station hears every other and the tables are written
-    out without a distance.  The box test keeps a 1e-9 relative margin, so
-    a layout near the boundary takes the general path instead: each
-    unordered pair's distance computed once.
+    When the bounding box of all the positions has a squared diagonal
+    below both ranges' bands (``_band``), every station hears every other
+    and the tables are written out without a distance.  A layout near the
+    boundary takes the general path instead.
+
+    The general path sweeps the stations in x order.  Each station scans
+    only the later stations whose computed ``dx = xb - xa`` is at most
+    cs_range: hypot is never below either leg, so every pair skipped is
+    beyond both ranges.  A scanned pair is settled from its squared
+    distance when that lies outside the 1e-9 band around a range's square
+    (``_band``), and from hypot inside it, so the tables equal those of
+    computing every pair's distance.
     """
     n = len(positions)
+    xs = [x for x, _ in positions]
+    ys = [y for _, y in positions]
+    tx_lo, tx_hi = _band(tx_range)
+    cs_lo, cs_hi = _band(cs_range)
     if n:
-        xs = [x for x, _ in positions]
-        ys = [y for _, y in positions]
         width = max(xs) - min(xs)
         height = max(ys) - min(ys)
-        reach = min(tx_range, cs_range) * (1 - 1e-9)
-        if width * width + height * height <= reach * reach:
+        if width * width + height * height < min(tx_lo, cs_lo):
             everyone = (1 << n) - 1
             return [everyone ^ 1 << a for a in range(n)], [everyone] * n
     hypot = math.hypot
-    bits = [1 << a for a in range(n)]
+    # the sweep works in x order: index i is station order[i]
+    order = sorted(range(n), key=xs.__getitem__)
+    sx = [xs[a] for a in order]
+    sy = [ys[a] for a in order]
+    bits = [1 << a for a in order]
     tx_mask = [0] * n
     cs_mask = bits[:]
-    for a, (xa, ya) in enumerate(positions):
-        bit_a = bits[a]
-        tx_a = tx_mask[a]     # both already hold the ids below a
-        cs_a = cs_mask[a]
-        for b in range(a + 1, n):
-            xb, yb = positions[b]
-            d = hypot(xa - xb, ya - yb)
-            if d <= cs_range:
-                cs_a |= bits[b]
-                cs_mask[b] |= bit_a
+    for i, (xa, ya) in enumerate(zip(sx, sy)):
+        bit_a = bits[i]
+        tx_a = tx_mask[i]     # both already hold the stations earlier in x order
+        cs_a = cs_mask[i]
+        # past the last station whose computed dx is within cs_range; the
+        # bisect bound is rounded, so the dx test has the last word
+        end = bisect_right(sx, xa + cs_range, i + 1)
+        while end < n and sx[end] - xa <= cs_range:
+            end += 1
+        for j in range(i + 1, end):
+            dx = sx[j] - xa
+            dy = sy[j] - ya
+            d2 = dx * dx + dy * dy
+            if d2 > cs_hi:            # beyond both ranges
+                continue
+            if d2 < tx_lo:            # within both
+                tx_a |= bits[j]
+                tx_mask[j] |= bit_a
+            elif not tx_hi < d2 < cs_lo:      # in a band: hypot settles it
+                d = hypot(dx, dy)
+                if d > cs_range:
+                    continue
                 if d <= tx_range:
-                    tx_a |= bits[b]
-                    tx_mask[b] |= bit_a
-        tx_mask[a] = tx_a
-        cs_mask[a] = cs_a
-    return tx_mask, cs_mask
+                    tx_a |= bits[j]
+                    tx_mask[j] |= bit_a
+            cs_a |= bits[j]
+            cs_mask[j] |= bit_a
+        tx_mask[i] = tx_a
+        cs_mask[i] = cs_a
+    tx_by_id = [0] * n
+    cs_by_id = [0] * n
+    for a, tx_a, cs_a in zip(order, tx_mask, cs_mask):
+        tx_by_id[a] = tx_a
+        cs_by_id[a] = cs_a
+    return tx_by_id, cs_by_id
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")

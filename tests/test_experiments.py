@@ -313,6 +313,17 @@ def test_network_rejects_malformed_flows(flows, bad):
         Network(THREE, flows, ScenarioConfig(), run_seed=1)
 
 
+@pytest.mark.parametrize("bad", [
+    (float("nan"), 0.0), (0.0, float("inf")), (-float("inf"), 0.0),
+    (0.0,), (0.0, 0.0, 0.0), ("0", 0.0), None,
+])
+def test_network_rejects_a_position_that_is_no_finite_pair(bad):
+    # a nan x would leave the neighbour tables' x order undefined
+    positions = THREE + [bad]
+    with pytest.raises(ConfigError, match=re.escape(f"station 3 is at {bad!r}")):
+        Network(positions, [(0, 1)], ScenarioConfig(), run_seed=1)
+
+
 def test_network_takes_shared_destinations_and_two_way_flows():
     net = Network(THREE, [(0, 1), (2, 1), (1, 0)], ScenarioConfig(), run_seed=1)
     assert [st.dst for st in net.stations] == [1, 0, 1]

@@ -168,10 +168,71 @@ def test_neighbor_tables_of_one_station_and_none():
     assert neighbor_tables([], 250.0, 550.0) == ([], [])
 
 
-@pytest.mark.parametrize("area_side, limit", [(150.0, 0), (1500.0, 19_900)])
+# cases of the x-ordered sweep, each against the all-pairs reference
+def test_neighbor_tables_equal_all_pairs_on_one_x():
+    # stations that share an x, with the sweep's ties among them, in and out of range
+    positions = [(300.0, y) for y in (0.0, 250.0, 250.0, 550.0, 1100.0, 1100.0 + 1e-9)]
+    positions += [(0.0, 0.0), (300.0, 0.0), (850.0, 0.0)]
+    tables = neighbor_tables(positions, 250.0, 550.0)
+    assert tables == all_pairs_tables(positions, 250.0, 550.0)
+    assert tables[0][0] == 0b010000110
+
+
+# (xa, whether each of xa + 550, one ulp above it, two ulps above and one
+# below has a computed dx within 550).  For 169.81 and -178.41895486531212
+# the rounded xa + 550 falls one ulp below an xb whose computed xb - xa is
+# still 550, so a bisect on that bound alone would drop an in-range pair.
+@pytest.mark.parametrize("xa, in_cs", [(0.0, 0b1001), (169.81, 0b1011),
+                                       (-178.41895486531212, 0b1011)])
+def test_neighbor_tables_equal_all_pairs_at_dx_of_cs_range(xa, in_cs):
+    above = math.nextafter(xa + 550.0, math.inf)
+    xbs = [xa + 550.0, above, math.nextafter(above, math.inf),
+           math.nextafter(xa + 550.0, -math.inf)]
+    positions = [(xa, 0.0)] + [(xb, 0.0) for xb in xbs] + [(xb, 1e-6) for xb in xbs]
+    tables = neighbor_tables(positions, 250.0, 550.0)
+    assert tables == all_pairs_tables(positions, 250.0, 550.0)
+    assert tables[1][0] & 0b11110 == in_cs << 1
+
+
+# station pairs a few ulps from a range r, where dx * dx + dy * dy and
+# hypot fall on opposite sides of r's square: the band must leave them to hypot
+@pytest.mark.parametrize("r, pair", [
+    (250.0, [(84.62, 799.94), (276.56172598127756, 960.12231434003)]),     # square in
+    (250.0, [(397.42, 73.04), (405.1318022125081, 322.92102790455135)]),   # square out
+    (550.0, [(420.02, 145.21), (585.018368395457, 669.8770738924229)]),    # square out
+])
+def test_neighbor_tables_equal_all_pairs_where_the_square_misleads(r, pair):
+    (xa, ya), (xb, yb) = pair
+    dx, dy = xb - xa, yb - ya
+    assert (dx * dx + dy * dy <= r * r) != (math.hypot(dx, dy) <= r)
+    assert neighbor_tables(pair, 250.0, 550.0) == all_pairs_tables(pair, 250.0, 550.0)
+
+
+# ranges of 2e-162 m, whose squares underflow: the stations 1.549e-162 m
+# apart on each axis are 2.19e-162 m apart, although every square in the
+# sum rounds to 0.  Alone they fill the bounding box; with a far third
+# station the sweep meets them.
+@pytest.mark.parametrize("others", [[], [(1.0, 0.0)]])
+def test_neighbor_tables_equal_all_pairs_at_underflowing_ranges(others):
+    positions = [(0.0, 0.0), (1.549e-162, 1.549e-162)] + others
+    tables = neighbor_tables(positions, 2e-162, 2e-162)
+    assert tables == all_pairs_tables(positions, 2e-162, 2e-162)
+    assert tables[1][:2] == [0b01, 0b10]
+
+
+def test_neighbor_tables_equal_all_pairs_on_a_large_sparse_field():
+    # 1 600 stations in a 4 km square: the sweep scans about a quarter of the pairs
+    config = ScenarioConfig(n_transmitters=800, area_side=4000.0)
+    positions, _flows = generate_topology(config, derive_seed(1, 0))
+    assert neighbor_tables(positions, 250.0, 550.0) == all_pairs_tables(positions, 250.0, 550.0)
+
+
+@pytest.mark.parametrize("area_side, limit", [(150.0, 0), (1500.0, 0)])
 def test_neighbor_tables_compute_few_distances(monkeypatch, area_side, limit):
     # 200 stations have 19 900 pairs.  A clique within tx range is settled
-    # from its bounding box; a sparse field computes each pair's distance once.
+    # from its bounding box.  A sparse field calls hypot only for a pair
+    # whose squared distance lies within 1e-9 of a range's square, and no
+    # pair of this layout does.
     config = ScenarioConfig(n_transmitters=100, area_side=area_side)
     positions, _flows = generate_topology(config, derive_seed(1, 0))
     calls = 0
