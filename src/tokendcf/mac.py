@@ -76,14 +76,30 @@ class Station:
 
     # -- queueing ----------------------------------------------------------
 
-    def enqueue_packet(self):
-        """New packet arrival at the MAC queue; returns accepted/dropped."""
-        self.enqueued += 1
-        if len(self.queue) >= self.mac.queue_capacity:
-            self.dropped_full += 1
-            self.metrics.drops += 1
+    def enqueue_packet(self, count=1):
+        """``count`` packet arrivals at the MAC queue now; returns accepted/dropped.
+
+        Queues as many as the queue has room for and counts the rest as
+        full-queue drops.  ACCEPTED when at least one packet was queued.
+        Contention starts once, after the packets are queued: starting it
+        reads no queue length, so one call of ``count`` equals ``count``
+        calls of one.
+        """
+        self.enqueued += count
+        queue = self.queue
+        room = self.mac.queue_capacity - len(queue)
+        if count > room:
+            lost = count - room
+            self.dropped_full += lost
+            self.metrics.drops += lost
+            count = room
+        if count <= 0:
             return DROPPED
-        self.queue.append(self.sim.now)
+        # one packet, the refill after every dequeue, skips building a list
+        if count == 1:
+            queue.append(self.sim.now)
+        else:
+            queue.extend([self.sim.now] * count)
         if self.phase == IDLE:
             self._start_contention()
         return ACCEPTED

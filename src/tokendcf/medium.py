@@ -48,7 +48,7 @@ behind in the heap.
 """
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from heapq import heapify, heappop, heappush
 from itertools import compress, count
 
@@ -208,7 +208,7 @@ class Medium:
         self._active = {}        # src -> ActiveTransmission
         # stations that take decoded data frames addressed to others
         self._listeners = set()
-        # src -> (listener sid, on_data) of its tx neighbours, by sid
+        # src -> (listener sid, on_data) of its tx neighbours, in registration order
         self._overhear = [[] for _ in range(n)]
         # channel-wide busy bookkeeping for the idle-gap metric
         self._busy_start = 0
@@ -251,16 +251,18 @@ class Medium:
     def register_listener(self, sid, on_data):
         """Hand ``on_data(frame)`` every data frame ``sid`` decodes but is not addressed by.
 
-        Overhearing: the callback is called once per such frame, in
-        ascending listener id, right after the addressed receiver's
-        ``on_frame``.  A station registers once.
+        Overhearing: the callback is called once per such frame, in the
+        order the listeners registered, right after the addressed
+        receiver's ``on_frame``.  ``Network`` registers its stations in
+        ascending id.  A station registers once.
         """
         if sid in self._listeners:
             raise MediumError(f"station {sid} already listens")
         self._listeners.add(sid)
         entry = (sid, on_data)
+        overhear = self._overhear
         for src in _members(self.tx_mask[sid]):   # tx range is symmetric
-            insort(self._overhear[src], entry)
+            overhear[src].append(entry)
 
     # -- sensing ----------------------------------------------------------
 

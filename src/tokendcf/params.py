@@ -85,6 +85,25 @@ class MacParams:
 
 @dataclass(frozen=True)
 class TokenParams:
+    """The Adapt controller of Token-DCF and its periodic reset.
+
+    Provenance of each default: the paper's abstract (the only part of the
+    paper at hand) states no value, and no source for any of them is known.
+    Each has been the default since the simulator's first version.
+
+    - ``period_us`` = 100 ms, between resets of ``p`` and the known
+      sources: no source known.  Results depend strongly on it (ROADMAP
+      item 9).
+    - ``max_num`` = 20, the events in one Adapt window: no source known.
+    - ``min_ratio`` = 0.2 and ``max_ratio`` = 0.8, the shares of events from
+      known sources that lower or raise ``p``: no source known.
+    - ``delta`` = 0.1, the step of ``p``: no source known.
+    - ``max_p`` = 0.9, the cap on ``p``: no source known; it must stay
+      below 1.
+
+    A changed default changes every Token-DCF trace and needs a cited source.
+    """
+
     min_ratio: float = 0.2
     max_ratio: float = 0.8
     max_num: int = 20

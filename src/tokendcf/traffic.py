@@ -43,9 +43,8 @@ class FullBufferSource:
         station.source = self
 
     def start(self):
-        cap = self.station.mac.queue_capacity
-        while len(self.station.queue) < cap:
-            self.station.enqueue_packet()
+        st = self.station
+        st.enqueue_packet(st.mac.queue_capacity - len(st.queue))
 
     def on_dequeue(self):
         self.station.enqueue_packet()

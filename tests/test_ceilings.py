@@ -1,0 +1,62 @@
+"""Throughput ceilings: a perfect Token-DCF chain on the default PHY.
+
+A chain is one sender granting itself every time: DATA + SIFS + ACK + SIFS,
+back to back.  No MAC on this PHY delivers more, so the ceiling bounds what
+criteria 1, 2, 3 and 7 can ask of Token-DCF.
+"""
+
+import pytest
+
+import tokendcf.experiments
+from tokendcf import DATA, MacParams, PhyParams, TokenScheduler, frame_airtime
+
+from conftest import Network
+
+PHY = PhyParams()
+MAC = MacParams()
+
+
+def chain_period(payload):
+    """Microseconds per packet of a self-granting chain: DATA + SIFS + ACK + SIFS."""
+    data = frame_airtime(MAC.data_header_bytes + MAC.sched_header_bytes, payload, PHY)
+    ack = frame_airtime(MAC.ack_header_bytes, 0, PHY)
+    return data + PHY.sifs + ack + PHY.sifs
+
+
+@pytest.mark.parametrize("payload, period, mbps", [(500, 135, 29.63), (1500, 283, 42.40)])
+def test_chain_ceiling_from_the_defaults(payload, period, mbps):
+    assert chain_period(payload) == period
+    assert 8 * payload / period == pytest.approx(mbps, abs=0.005)
+
+
+class SelfGranting(TokenScheduler):
+    """A scheduler that names its own station on every frame it sends."""
+
+    __slots__ = ()
+
+    def select_privileged(self, own_queue_len):
+        return self.sid
+
+
+@pytest.mark.parametrize("payload", [500, 1500])
+def test_forced_chain_runs_at_the_ceiling(monkeypatch, payload):
+    monkeypatch.setattr(tokendcf.experiments, "TokenScheduler", SelfGranting)
+    horizon = 100_000
+    net = Network([(0.0, 0.0), (100.0, 0.0)], [(0, 1)], protocol="token_dcf",
+                  payload=payload, trace=True).saturate()
+    report = net.run(horizon)
+    period = chain_period(payload)
+    starts = [t for t, kind, src, frame_kind, *_ in net.trace
+              if kind == "tx" and src == 0 and frame_kind == DATA]
+    # after the first access every DATA frame follows the last by one period
+    assert {b - a for a, b in zip(starts, starts[1:])} == {period}
+    assert report.collision_freq == 0.0
+    # the first access waits DIFS and an initial backoff of 0..cw_min
+    # slots; packet i's ACK then ends at first + (i + 1) * period - SIFS
+    def delivered(first):
+        return (horizon - first + PHY.sifs) // period
+
+    latest = PHY.difs + MAC.cw_min * PHY.slot_time
+    assert delivered(latest) <= report.delivered_packets <= delivered(PHY.difs)
+    ceiling = 8 * payload / period * 1e6
+    assert ceiling * (horizon - latest - period) / horizon <= report.throughput_bps <= ceiling

@@ -3,7 +3,7 @@
 import pytest
 
 from tokendcf import DATA, ACK, MacFrame, MacParams, TrafficSpec, frame_airtime
-from tokendcf.traffic import make_source
+from tokendcf.traffic import FullBufferSource, make_source
 from tokendcf.mac import ACCEPTED, DROPPED, IDLE, WAITING
 
 from conftest import Network, Recorder
@@ -68,6 +68,52 @@ def test_queue_accepts_up_to_capacity_then_drops():
     assert len(st.queue) == 50
     assert st.dropped_full == 1
     assert net.metrics.drops == 1
+
+
+@pytest.mark.parametrize("before, count, queued, dropped", [
+    (0, 30, 30, 0),     # empty queue, room for all
+    (0, 60, 50, 10),    # empty queue, more than it holds
+    (45, 10, 5, 5),     # part-full queue
+    (50, 3, 0, 3),      # full queue
+    (0, 0, 0, 0),       # nothing arrives
+])
+def test_enqueue_of_many_queues_the_room_and_drops_the_rest(before, count, queued, dropped):
+    net = single_flow()
+    st = net.stations[0]
+    st.rng = Draws(3)
+    registered = []
+    register_access = net.medium.register_access
+    net.medium.register_access = lambda sid, slots: (registered.append(sid),
+                                                     register_access(sid, slots))
+    if before:
+        assert st.enqueue_packet(before) == ACCEPTED
+    assert st.enqueue_packet(count) == (ACCEPTED if queued else DROPPED)
+    assert st.enqueued == before + count
+    assert len(st.queue) == before + queued
+    assert st.dropped_full == dropped
+    assert net.metrics.drops == dropped
+    # contention starts once, on the first packet queued
+    started = before + queued > 0
+    assert st.rng.bounds == ([MacParams().cw_min] if started else [])
+    assert registered == ([0] if started else [])
+    assert st.phase == (WAITING if started else IDLE)
+
+
+def test_full_buffer_start_equals_single_enqueues():
+    filled, single = single_flow(trace=True), single_flow(trace=True)
+    FullBufferSource(filled.stations[0]).start()
+    FullBufferSource(single.stations[0])   # refills as ``filled`` does, once running
+    for _ in range(50):
+        single.stations[0].enqueue_packet()
+    a, b = filled.stations[0], single.stations[0]
+    assert list(a.queue) == list(b.queue)
+    for name in ("enqueued", "dropped_full", "phase", "pending_slots", "registered"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert a.rng.getstate() == b.rng.getstate()
+    assert filled.metrics.drops == single.metrics.drops == 0
+    filled.run(5000)
+    single.run(5000)
+    assert filled.trace == single.trace
 
 
 def test_first_enqueue_on_idle_medium_starts_contention():

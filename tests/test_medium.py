@@ -487,6 +487,18 @@ def test_listener_overhears_data_frames():
     assert [f for _, kind, f in recorders[2].events if kind == "frame"] == [frame]
 
 
+def test_overhearers_are_called_in_registration_order():
+    # 0 -> 1 is heard by listeners 2, 3 and 4, registered out of id order
+    sim, medium, _ = make_medium(
+        [(0.0, 0.0), (100.0, 0.0), (0.0, 100.0), (-100.0, 0.0), (0.0, -100.0)])
+    calls = []
+    for sid in (4, 2, 3):
+        medium.register_listener(sid, lambda frame, sid=sid: calls.append(sid))
+    medium.begin_transmission(0, data(0, 1), 96)
+    sim.run_until(96)
+    assert calls == [4, 2, 3]
+
+
 def test_listener_registers_once():
     _, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0)])
     medium.register_listener(1, recorders[1].on_frame)
