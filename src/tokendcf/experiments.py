@@ -208,12 +208,15 @@ def _check_positions(positions):
 def _check_flows(positions, flows):
     """Reject a malformed flow.
 
-    A flow joins two distinct station ids, and a station is the source of
-    at most one flow, since a sender has one destination.
+    A flow is a pair of two distinct int station ids, and a station is the
+    source of at most one flow, since a sender has one destination.
     """
     ids = range(len(positions))
     sources = set()
     for flow in flows:
+        if not (isinstance(flow, (tuple, list)) and len(flow) == 2
+                and all(isinstance(sid, int) for sid in flow)):
+            raise ConfigError(f"flow {flow!r} is not a pair of int station ids")
         src, dst = flow
         if src not in ids or dst not in ids:
             raise ConfigError(f"flow {flow!r} names a station outside ids 0..{len(ids) - 1}")

@@ -5,9 +5,9 @@ backoff in [0, CW], freezes the countdown while the channel is busy, and runs
 the DATA/ACK exchange with binary exponential backoff on ACK timeout.  When a
 token scheduler is attached, the access plan may collapse to a bare SIFS wait
 (privileged access) and every transmitted/decoded data frame feeds the
-scheduler state: the station registers the scheduler's ``on_receive_data``
-with the medium for overheard frames, and the scheduler calls the station's
-``on_grant`` when a decoded frame names it.
+scheduler state: the medium hands the scheduler's ``on_receive_data`` every
+data frame the station decodes, after the addressed ``on_frame``, and the
+scheduler calls the station's ``on_grant`` when a decoded frame names it.
 """
 
 from collections import deque
@@ -165,14 +165,12 @@ class Station:
         """A frame was delivered (decoded) at this station.
 
         The medium calls it for frames addressed here; a token station's
-        overheard data frames go from the medium to its scheduler directly.
+        scheduler gets every decoded data frame from the medium directly.
         """
         if frame.kind == ACK:
             if frame.dst == self.sid and self.phase == AWAIT_ACK:
                 self._ack_received()
             return
-        if self.scheduler is not None:
-            self.scheduler.on_receive_data(frame)
         if frame.dst == self.sid:
             src = frame.src
             self.sim.schedule(self.phy.sifs, lambda: self._send_ack(src))

@@ -5,8 +5,8 @@ if it sits within tx_range of the source and no other transmission from
 within the receiver's cs_range overlapped the frame (any overlap corrupts,
 no capture effect).  A station that transmits itself during the overlap is
 corrupted too (half-duplex).  Propagation delay is zero.  A decoded frame goes
-to the addressed station's ``on_frame``; a decoded DATA frame also goes to the
-``on_data`` callback of every other station that registered as a listener.
+to the addressed station's ``on_frame``, then a DATA frame to the ``on_data``
+of every listener that decoded it, the addressed one included, in ascending id.
 
 Neighbour sets are int bit masks.  Bit b of tx_mask[a] is set exactly
 when b lies within tx_range of a (a itself excluded), and bit b of
@@ -15,10 +15,10 @@ are recorded as overlaps, not as receivers.  When a frame starts, it and
 each frame still on the air OR each other's source cs_mask into their
 ``spoil`` mask: O(1) per overlapping pair, with no set built.  A receiver in
 tx range is spoiled exactly when its bit is set in ``spoil``, so the spoiled
-receivers are worked out once when the frame ends, and only for the
-receivers it is handed to: the addressed one and, for DATA, the overhearers.
-Bits outside the source's tx neighbours change no verdict, since every
-receiver is one.  The trace's ``end`` record holds the delivered and the
+receivers are worked out once when the frame ends: the decoders are
+``tx_mask[src] & ~spoil``.  The frame goes to the addressed one among them
+and, for DATA, to the listeners among them, found by an AND with the
+listener mask.  The trace's ``end`` record holds the delivered and the
 corrupted receivers as masks too, so a frame that collides in a clique costs
 one AND there instead of a tuple of every station it spoiled.
 
@@ -157,10 +157,14 @@ def neighbor_tables(positions, tx_range, cs_range):
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _digits(mask):
+    """Bit b of ``mask`` as byte b, 0 or 1: a ``compress`` selector of the ids in it."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+
+
 def _members(mask):
     """The ids whose bits are set in ``mask``, ascending."""
-    # binary digits, lowest first, as 0/1 bytes that select from 0, 1, 2, ...
-    return compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
+    return compress(count(), _digits(mask))
 
 
 class ActiveTransmission:
@@ -206,10 +210,9 @@ class Medium:
 
         self.stations = {}       # sid -> station object, bound via bind()
         self._active = {}        # src -> ActiveTransmission
-        # stations that take decoded data frames addressed to others
-        self._listeners = set()
-        # src -> (listener sid, on_data) of its tx neighbours, in registration order
-        self._overhear = [[] for _ in range(n)]
+        # stations that take every decoded data frame: bit sid, and its callback
+        self._listen = 0
+        self._on_data = [None] * n
         # channel-wide busy bookkeeping for the idle-gap metric
         self._busy_start = 0
         self._last_busy_end = 0
@@ -249,20 +252,16 @@ class Medium:
         return group
 
     def register_listener(self, sid, on_data):
-        """Hand ``on_data(frame)`` every data frame ``sid`` decodes but is not addressed by.
+        """Hand ``on_data(frame)`` every data frame ``sid`` decodes, addressed or overheard.
 
-        Overhearing: the callback is called once per such frame, in the
-        order the listeners registered, right after the addressed
-        receiver's ``on_frame``.  ``Network`` registers its stations in
-        ascending id.  A station registers once.
+        The listeners that decode a frame are called once each, in
+        ascending id, after the addressed station's ``on_frame``.  A
+        station registers once.
         """
-        if sid in self._listeners:
+        if self._listen >> sid & 1:
             raise MediumError(f"station {sid} already listens")
-        self._listeners.add(sid)
-        entry = (sid, on_data)
-        overhear = self._overhear
-        for src in _members(self.tx_mask[sid]):   # tx range is symmetric
-            overhear[src].append(entry)
+        self._listen |= 1 << sid
+        self._on_data[sid] = on_data
 
     # -- sensing ----------------------------------------------------------
 
@@ -468,25 +467,20 @@ class Medium:
 
         frame = tx.frame
         stations = self.stations
-        spoil = tx.spoil
         heard = self.tx_mask[src]
+        decoded = heard & ~tx.spoil
         dst = frame.dst
-        # DATA: overhearers want the scheduling header
-        overhear = self._overhear[src] if frame.kind == 0 else ()
-        trace = self.trace
-        delivered = 0
         # addressed receiver first so its response wins same-instant ties
-        if heard >> dst & 1 and not (spoil and spoil >> dst & 1):
+        if decoded >> dst & 1:
             stations[dst].on_frame(frame)
-            if trace is not None:
-                delivered = 1 << dst
-        for r, on_data in overhear:
-            if r != dst and not (spoil and spoil >> r & 1):
+        # DATA: listeners want the scheduling header
+        listened = decoded & self._listen if frame.kind == 0 else 0
+        if listened:
+            for on_data in compress(self._on_data, _digits(listened)):
                 on_data(frame)
-                if trace is not None:
-                    delivered |= 1 << r
-        if trace is not None:
-            trace.append((now, "end", src, frame.kind, delivered, heard & spoil))
+        if self.trace is not None:
+            self.trace.append((now, "end", src, frame.kind,
+                               decoded & (listened | 1 << dst), heard & tx.spoil))
 
         stations[src].on_tx_complete(frame)
         for group in newly_idle:

@@ -3,12 +3,13 @@
 Every data frame a station sends names at most one privileged station (drawn
 with probability p from the stations whose frames it decoded this period,
 picking the longest queue).  Every link runs at one bit rate, so single-hop
-backpressure, which weighs queue length by link rate, picks the same station.  Decoding a
-frame that names you sets your flag and calls ``on_grant``, which the station
-installs so that the grant reaches an access it has already planned; a set
-flag turns the next channel access into a bare SIFS wait.  The Adapt
-controller moves p up or down by delta depending on how many transmissions
-came from already-known stations.
+backpressure, which weighs queue length by link rate, picks the same
+station.  The medium hands ``on_receive_data`` every data frame the station
+decodes, addressed or overheard.  Decoding a frame that names you sets your
+flag and calls ``on_grant``, which the station installs so that the grant
+reaches an access it has already planned; a set flag turns the next channel
+access into a bare SIFS wait.  The Adapt controller moves p up or down by
+delta depending on how many transmissions came from already-known stations.
 """
 
 

@@ -307,6 +307,11 @@ THREE = [(0.0, 0.0), (100.0, 0.0), (0.0, 100.0)]
     ([(1, 1)], "(1, 1)"),            # a station sending to itself
     ([(0, 3)], "(0, 3)"),            # ids run 0..2
     ([(-1, 0)], "(-1, 0)"),
+    ([(0, 1.0)], "(0, 1.0)"),        # ids are ints
+    ([(0.0, 1)], "(0.0, 1)"),
+    ([(0,)], "(0,)"),                # a flow is a pair
+    ([(0, 1, 2)], "(0, 1, 2)"),
+    ([5], "5"),
 ])
 def test_network_rejects_malformed_flows(flows, bad):
     with pytest.raises(ConfigError, match=re.escape(bad)):

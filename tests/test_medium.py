@@ -270,6 +270,28 @@ def test_medium_geometry_allocates_little(area_side, limit_kb):
     assert allocated < limit_kb * 1024
 
 
+def _held_after_setup(protocol, n_transmitters):
+    """Bytes a built, unstarted 150 m clique ``Simulation`` holds, by tracemalloc."""
+    config = ScenarioConfig(protocol=protocol, n_transmitters=n_transmitters, area_side=150.0)
+    tracemalloc.start()
+    try:
+        sim = Simulation(config, derive_seed(1, 0))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    sim.close()
+    return held
+
+
+def test_token_setup_holds_the_same_per_sender_at_any_clique_size():
+    # the token layer's extra over DCF (a scheduler, its substream and one
+    # listener slot per sender) is about 3.6 KB per sender at n = 20 and
+    # n = 200; per-source lists of overhearers held 4.2 KB and 6.7 KB
+    per_sender = {n: (_held_after_setup("token_dcf", n) - _held_after_setup("dcf", n)) / n
+                  for n in (20, 200)}
+    assert abs(per_sender[200] - per_sender[20]) <= 0.2 * per_sender[20], per_sender
+
+
 def test_trace_of_a_dense_clique_stays_small():
     # the golden clique100 case: 100 DCF senders, mostly colliding.  Each
     # "end" record holds its receivers as two ints (about 105 KB of text in
@@ -487,7 +509,7 @@ def test_listener_overhears_data_frames():
     assert [f for _, kind, f in recorders[2].events if kind == "frame"] == [frame]
 
 
-def test_overhearers_are_called_in_registration_order():
+def test_listeners_are_called_in_ascending_id():
     # 0 -> 1 is heard by listeners 2, 3 and 4, registered out of id order
     sim, medium, _ = make_medium(
         [(0.0, 0.0), (100.0, 0.0), (0.0, 100.0), (-100.0, 0.0), (0.0, -100.0)])
@@ -496,7 +518,34 @@ def test_overhearers_are_called_in_registration_order():
         medium.register_listener(sid, lambda frame, sid=sid: calls.append(sid))
     medium.begin_transmission(0, data(0, 1), 96)
     sim.run_until(96)
-    assert calls == [4, 2, 3]
+    assert calls == [2, 3, 4]
+
+
+def test_addressed_listener_gets_on_frame_then_on_data_once():
+    # 0 -> 1, where the addressed 1 listens too, registered after listener 2
+    sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
+    calls = []
+    recorders[1].on_frame = lambda frame: calls.append(("on_frame", 1, frame))
+    for sid in (2, 1):
+        medium.register_listener(sid, lambda frame, sid=sid: calls.append(("on_data", sid, frame)))
+    frame = data(0, 1)
+    medium.begin_transmission(0, frame, 96)
+    sim.run_until(96)
+    assert calls == [("on_frame", 1, frame), ("on_data", 1, frame), ("on_data", 2, frame)]
+    assert ends(medium)[0] == ((1, 2), ())
+
+
+def test_ack_reaches_no_listener():
+    sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
+    calls = []
+    for sid in (0, 2):
+        medium.register_listener(sid, calls.append)
+    ack = MacFrame(ACK, 1, 0)
+    medium.begin_transmission(1, ack, 19)
+    sim.run_until(19)
+    assert calls == []
+    assert frames_at(recorders[0]) == [ack]
+    assert ends(medium)[1] == ((0,), ())
 
 
 def test_listener_registers_once():
