@@ -7,6 +7,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 from .core import Simulator, derive_seed, substream
 from .mac import Station
@@ -14,7 +15,7 @@ from .medium import Medium
 from .metrics import Metrics, summarize
 from .params import (ConfigError, MacParams, PhyParams, TokenParams, require_finite,
                      require_ints)
-from .token import TokenScheduler
+from .token import TokenScheduler, overhear
 from .traffic import TrafficSpec, make_source
 
 PROTOCOLS = ("dcf", "token_dcf")
@@ -266,6 +267,8 @@ class Network:
                 )
             self.stations.append(st)
         self.medium.bind(self.stations)
+        if use_token:
+            self.medium.on_data = partial(overhear, [st.scheduler for st in self.stations], {})
 
     def run(self, horizon_us):
         """Run the event loop to ``horizon_us`` and report the run so far."""
@@ -275,12 +278,12 @@ class Network:
     def close(self):
         """Break the run's reference cycles, so that dropping the network frees it.
 
-        The pending events, the medium's station table, each station's
-        source and each scheduler's ``on_grant`` tie the run's objects into
-        cycles that only a full ``gc`` pass would free.  Counters, queues,
-        ``metrics`` and the trace stay readable.  The pending events are
-        dropped, so a closed network must not be run again: ``run`` raises.
-        Closing twice is harmless.
+        The pending events, the medium's station table and DATA hook, each
+        station's source and each scheduler's ``on_grant`` tie the run's
+        objects into cycles that only a full ``gc`` pass would free.
+        Counters, queues, ``metrics`` and the trace stay readable.  The
+        pending events are dropped, so a closed network must not be run
+        again: ``run`` raises.  Closing twice is harmless.
         """
         self.sim.close()
         self.medium.close()

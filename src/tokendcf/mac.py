@@ -5,9 +5,9 @@ backoff in [0, CW], freezes the countdown while the channel is busy, and runs
 the DATA/ACK exchange with binary exponential backoff on ACK timeout.  When a
 token scheduler is attached, the access plan may collapse to a bare SIFS wait
 (privileged access) and every transmitted/decoded data frame feeds the
-scheduler state: the medium hands the scheduler's ``on_receive_data`` every
-data frame the station decodes, after the addressed ``on_frame``, and the
-scheduler calls the station's ``on_grant`` when a decoded frame names it.
+scheduler state: the network's DATA hook on the medium hands each header the
+station decodes to its scheduler, after the addressed ``on_frame``, and the
+token layer calls the station's ``on_grant`` when a decoded frame names it.
 """
 
 from collections import deque
@@ -66,7 +66,7 @@ class Station:
         self.ack_airtime = frame_airtime(mac.ack_header_bytes, 0, self.phy)
         if scheduler is not None:
             scheduler.on_grant = self.on_grant
-            medium.register_listener(sid, scheduler.on_receive_data)
+            medium.register_listener(sid)
 
     def close(self):
         """Break the cycles through this station's source and its scheduler's ``on_grant``."""
@@ -83,8 +83,10 @@ class Station:
         full-queue drops.  ACCEPTED when at least one packet was queued.
         Contention starts once, after the packets are queued: starting it
         reads no queue length, so one call of ``count`` equals ``count``
-        calls of one.
+        calls of one.  A negative ``count`` raises ValueError.
         """
+        if count < 0:
+            raise ValueError(f"station {self.sid}: cannot enqueue {count} packets")
         self.enqueued += count
         queue = self.queue
         room = self.mac.queue_capacity - len(queue)
@@ -165,7 +167,7 @@ class Station:
         """A frame was delivered (decoded) at this station.
 
         The medium calls it for frames addressed here; a token station's
-        scheduler gets every decoded data frame from the medium directly.
+        scheduler gets every decoded data frame through the medium's hook.
         """
         if frame.kind == ACK:
             if frame.dst == self.sid and self.phase == AWAIT_ACK:

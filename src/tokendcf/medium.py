@@ -6,7 +6,7 @@ within the receiver's cs_range overlapped the frame (any overlap corrupts,
 no capture effect).  A station that transmits itself during the overlap is
 corrupted too (half-duplex).  Propagation delay is zero.  A decoded frame goes
 to the addressed station's ``on_frame``, then a DATA frame to the ``on_data``
-of every listener that decoded it, the addressed one included, in ascending id.
+hook once, with the mask of every listener that decoded it, addressed or not.
 
 Neighbour sets are int bit masks.  Bit b of tx_mask[a] is set exactly
 when b lies within tx_range of a (a itself excluded), and bit b of
@@ -17,8 +17,8 @@ each frame still on the air OR each other's source cs_mask into their
 tx range is spoiled exactly when its bit is set in ``spoil``, so the spoiled
 receivers are worked out once when the frame ends: the decoders are
 ``tx_mask[src] & ~spoil``.  The frame goes to the addressed one among them
-and, for DATA, to the listeners among them, found by an AND with the
-listener mask.  The trace's ``end`` record holds the delivered and the
+and, for DATA, to the hook with the listeners among them (an AND with the
+listener mask).  The trace's ``end`` record holds the delivered and the
 corrupted receivers as masks too, so a frame that collides in a clique costs
 one AND there instead of a tuple of every station it spoiled.
 
@@ -162,7 +162,7 @@ def _digits(mask):
     return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
-def _members(mask):
+def members(mask):
     """The ids whose bits are set in ``mask``, ascending."""
     return compress(count(), _digits(mask))
 
@@ -210,9 +210,9 @@ class Medium:
 
         self.stations = {}       # sid -> station object, bound via bind()
         self._active = {}        # src -> ActiveTransmission
-        # stations that take every decoded data frame: bit sid, and its callback
+        # stations that take every decoded DATA frame, as bit sid
         self._listen = 0
-        self._on_data = [None] * n
+        self.on_data = None      # their hook, on_data(frame, listened)
         # channel-wide busy bookkeeping for the idle-gap metric
         self._busy_start = 0
         self._last_busy_end = 0
@@ -231,8 +231,9 @@ class Medium:
             self.stations[st.sid] = st
 
     def close(self):
-        """Unbind the stations: the medium's links back to the objects that hold it."""
+        """Unbind the stations and the DATA hook: the links back to the objects that hold it."""
         self.stations = {}
+        self.on_data = None
 
     def subscribe(self, sid):
         """Put a contending station into the carrier-sense group of its cs_mask.
@@ -246,22 +247,22 @@ class Medium:
         if group is None:
             group = _Group(sum(1 for src in self._active if cs >> src & 1))
             self._groups[cs] = group
-            for src in _members(cs):
+            for src in members(cs):
                 self._hit[src].append(group)
         self._group_of[sid] = group
         return group
 
-    def register_listener(self, sid, on_data):
-        """Hand ``on_data(frame)`` every data frame ``sid`` decodes, addressed or overheard.
+    def register_listener(self, sid):
+        """Have ``sid`` take every DATA frame it decodes, addressed or overheard.
 
-        The listeners that decode a frame are called once each, in
-        ascending id, after the addressed station's ``on_frame``.  A
-        station registers once.
+        A DATA frame that listeners decode is handed once to the hook
+        ``on_data(frame, listened)``, after the addressed station's
+        ``on_frame``; bit b of ``listened`` is set for each listener b that
+        decoded it.  A station registers once.
         """
         if self._listen >> sid & 1:
             raise MediumError(f"station {sid} already listens")
         self._listen |= 1 << sid
-        self._on_data[sid] = on_data
 
     # -- sensing ----------------------------------------------------------
 
@@ -476,8 +477,7 @@ class Medium:
         # DATA: listeners want the scheduling header
         listened = decoded & self._listen if frame.kind == 0 else 0
         if listened:
-            for on_data in compress(self._on_data, _digits(listened)):
-                on_data(frame)
+            self.on_data(frame, listened)
         if self.trace is not None:
             self.trace.append((now, "end", src, frame.kind,
                                decoded & (listened | 1 << dst), heard & tx.spoil))

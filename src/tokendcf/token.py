@@ -4,13 +4,15 @@ Every data frame a station sends names at most one privileged station (drawn
 with probability p from the stations whose frames it decoded this period,
 picking the longest queue).  Every link runs at one bit rate, so single-hop
 backpressure, which weighs queue length by link rate, picks the same
-station.  The medium hands ``on_receive_data`` every data frame the station
-decodes, addressed or overheard.  Decoding a frame that names you sets your
-flag and calls ``on_grant``, which the station installs so that the grant
-reaches an access it has already planned; a set flag turns the next channel
-access into a bare SIFS wait.  The Adapt controller moves p up or down by
-delta depending on how many transmissions came from already-known stations.
+station.  The DATA hook ``overhear`` applies each header the medium decodes
+to all the schedulers that decoded it, addressed or overheard, in one pass.
+A frame that names you sets your flag and calls ``on_grant``, which the
+station installs so that the grant reaches an access already planned; a set
+flag turns the next channel access into a bare SIFS wait.  The Adapt step
+moves p up or down by delta by how many transmissions came from known stations.
 """
+
+from .medium import members
 
 
 def _no_station():
@@ -69,17 +71,7 @@ class TokenScheduler:
         priv = self.select_privileged(own_queue_len)
         frame.privileged = priv
         frame.q_len = own_queue_len
-        self.flag = 1 if priv == self.sid else 0
-        self.adapt(self.sid)
-
-    def on_receive_data(self, frame):
-        """Runs for every decoded data frame, addressed or overheard."""
-        granted = frame.privileged == self.sid
-        self.flag = 1 if granted else 0
-        self.adapt(frame.src)
-        self.q_len_map[frame.src] = frame.q_len
-        if granted:
-            self.on_grant()
+        apply_header((self,), self.sid, priv, own_queue_len)
 
     def on_timer_expired(self):
         self.flag = 0
@@ -88,23 +80,36 @@ class TokenScheduler:
         """Forget the installed ``on_grant``, the link back to the station."""
         self.on_grant = _no_station
 
-    # -- Adapt controller --------------------------------------------------
 
-    def adapt(self, src):
-        if src not in self.active:
-            self.fail += 1
-            self.active.add(src)
+def overhear(schedulers, by_mask, frame, listened):
+    """The medium's DATA hook: ``schedulers`` by id, cached in ``by_mask`` per ``listened`` mask."""
+    listeners = by_mask.get(listened)
+    if listeners is None:   # a run meets few distinct masks
+        listeners = by_mask[listened] = tuple(map(schedulers.__getitem__, members(listened)))
+    privileged = frame.privileged
+    apply_header(listeners, frame.src, privileged, frame.q_len)
+    if privileged is not None and listened >> privileged & 1:
+        schedulers[privileged].on_grant()
+
+
+def apply_header(schedulers, src, privileged, q_len):
+    """Apply one DATA header to each scheduler: its flag, the Adapt step, its queue table."""
+    for s in schedulers:
+        s.flag = 1 if s.sid == privileged else 0
+        if src in s.active:
+            s.success += 1
         else:
-            self.success += 1
-        total = self.success + self.fail
-        if total >= self.params.max_num:
-            ratio = self.success / total
-            if ratio >= self.params.max_ratio:
-                self.p = min(self.p + self.params.delta, self.params.max_p)
-                self.success = 0
-                self.fail = 0
-            if ratio <= self.params.min_ratio:
-                if self.p >= self.params.delta:
-                    self.p = max(self.p - self.params.delta, 0.0)
-                self.success = 0
-                self.fail = 0
+            s.fail += 1
+            s.active.add(src)
+        total = s.success + s.fail
+        params = s.params
+        if total >= params.max_num:
+            ratio = s.success / total
+            if ratio >= params.max_ratio:
+                s.p = min(s.p + params.delta, params.max_p)
+                s.success = s.fail = 0
+            if ratio <= params.min_ratio:
+                if s.p >= params.delta:
+                    s.p = max(s.p - params.delta, 0.0)
+                s.success = s.fail = 0
+        s.q_len_map[src] = q_len

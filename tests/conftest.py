@@ -47,6 +47,23 @@ class Recorder:
         self.events.append((self.sim.now, "fire", None))
 
 
+def listen(medium, callbacks):
+    """Register the stations of ``callbacks``, sid -> ``callback(frame)``, as listeners.
+
+    Installs the medium's DATA hook: for each DATA frame, it calls the
+    callback of every listener in the frame's mask, in ascending id.
+    """
+    for sid in callbacks:
+        medium.register_listener(sid)
+
+    def on_data(frame, listened):
+        for sid in sorted(callbacks):
+            if listened >> sid & 1:
+                callbacks[sid](frame)
+
+    medium.on_data = on_data
+
+
 def ids(mask):
     """The station ids whose bits are set in ``mask``, as an ascending tuple."""
     return tuple(b for b in range(mask.bit_length()) if mask >> b & 1)

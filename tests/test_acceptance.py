@@ -196,6 +196,7 @@ class _AdaptOracle:
 
 def test_criterion_09_adapt_controller_oracle():
     from tokendcf import Simulator, TokenScheduler, substream
+    from tokendcf.token import apply_header
 
     params = TokenParams()
     rng = random.Random(20240811)
@@ -213,7 +214,7 @@ def test_criterion_09_adapt_controller_oracle():
                 sched._period_reset()
                 oracle.reset()
             src = rng.randrange(pool)
-            sched.adapt(src)
+            apply_header((sched,), src, None, 0)   # the step every decoded header takes
             oracle.event(src)
             events += 1
             if (sched.p != oracle.p or sched.active != oracle.active or

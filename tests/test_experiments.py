@@ -11,9 +11,9 @@ import weakref
 
 import pytest
 
-from tokendcf import (ConfigError, FullBufferSource, MacParams, Metrics, Network,
-                      PhyParams, ScenarioConfig, TokenParams, TrafficSpec, derive_seed,
-                      generate_topology, parse_config, run_scenario, run_sweep,
+from tokendcf import (DATA, ConfigError, FullBufferSource, MacParams, Metrics, Network,
+                      PhyParams, ScenarioConfig, Simulation, TokenParams, TrafficSpec,
+                      derive_seed, generate_topology, parse_config, run_scenario, run_sweep,
                       simulate_run)
 from tokendcf.core import SimError
 from tokendcf.experiments import apply_sweep_value, write_csv
@@ -219,6 +219,25 @@ def test_smoke_run_token_protocol():
     assert rep.throughput_bps > 0
 
 
+@pytest.mark.parametrize("n", [10, 60])
+def test_token_clique_hands_each_decoded_data_frame_to_the_hook_once(n):
+    # the listeners of a frame are one mask in one call, however many there are
+    config = short_config(protocol="token_dcf", n_transmitters=n, area_side=150.0,
+                          duration_s=0.05, runs=1)
+    trace = []
+    sim = Simulation(config, derive_seed(config.seed, 0), trace=trace)
+    hook = sim.medium.on_data
+    calls = []
+    sim.medium.on_data = lambda frame, listened: (calls.append(listened), hook(frame, listened))
+    sim.run()
+    listeners = sum(1 << st.sid for st in sim.stations if st.scheduler is not None)
+    heard = [rec[4] & listeners for rec in trace
+             if rec[1] == "end" and rec[3] == DATA and rec[4] & listeners]
+    assert len(heard) > 0
+    assert calls == heard
+    assert max(mask.bit_count() for mask in calls) == n - 1
+
+
 # -- freeing finished runs --------------------------------------------------
 
 @contextlib.contextmanager
@@ -282,6 +301,7 @@ def test_close_keeps_the_results_and_frees_the_network():
 
     with gc_off():
         net.close()
+        assert net.medium.on_data is None   # the DATA hook's link back to the schedulers
         assert _station_state(net) == stations
         assert _metrics_state(net.metrics) == metrics
         assert trace == records

@@ -6,7 +6,7 @@ from tokendcf import DATA, ACK, MacFrame, MacParams, TrafficSpec, frame_airtime
 from tokendcf.traffic import FullBufferSource, make_source
 from tokendcf.mac import ACCEPTED, DROPPED, IDLE, WAITING
 
-from conftest import Network, Recorder
+from conftest import Network, Recorder, listen
 
 
 def single_flow(**kwargs):
@@ -76,6 +76,8 @@ def test_queue_accepts_up_to_capacity_then_drops():
     (45, 10, 5, 5),     # part-full queue
     (50, 3, 0, 3),      # full queue
     (0, 0, 0, 0),       # nothing arrives
+    (0, -3, 0, 0),      # a negative count: rejected before any counter moves
+    (45, -3, 0, 0),
 ])
 def test_enqueue_of_many_queues_the_room_and_drops_the_rest(before, count, queued, dropped):
     net = single_flow()
@@ -87,7 +89,12 @@ def test_enqueue_of_many_queues_the_room_and_drops_the_rest(before, count, queue
                                                      register_access(sid, slots))
     if before:
         assert st.enqueue_packet(before) == ACCEPTED
-    assert st.enqueue_packet(count) == (ACCEPTED if queued else DROPPED)
+    if count < 0:
+        with pytest.raises(ValueError):
+            st.enqueue_packet(count)
+        count = 0
+    else:
+        assert st.enqueue_packet(count) == (ACCEPTED if queued else DROPPED)
     assert st.enqueued == before + count
     assert len(st.queue) == before + queued
     assert st.dropped_full == dropped
@@ -341,7 +348,7 @@ def test_access_delay_recorded_per_delivered_packet():
 def test_sink_sends_no_ack_for_foreign_destination():
     # 0 -> 1; station 2 also decodes the frame but must stay silent
     net = Network([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)], [(0, 1)], trace=True)
-    net.medium.register_listener(2, net.stations[2].on_frame)
+    listen(net.medium, {2: net.stations[2].on_frame})
     net.saturate().run(5_000)
     ack_srcs = {src for _, kind, src, fkind, *_ in net.trace
                 if kind == "tx" and fkind == ACK}

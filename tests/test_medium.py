@@ -13,7 +13,7 @@ from tokendcf import (ACK, DATA, ConfigError, MacFrame, Medium, Metrics,
                       derive_seed, generate_topology)
 from tokendcf.medium import MediumError, neighbor_tables
 
-from conftest import Recorder, finished_frames
+from conftest import Recorder, finished_frames, ids, listen
 
 
 def make_medium(positions, metrics=None):
@@ -368,7 +368,7 @@ def test_recorder_stub_has_the_station_callbacks():
 
 def test_clean_frame_delivered_to_all_in_range():
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
-    medium.register_listener(2, recorders[2].on_frame)
+    listen(medium, {2: recorders[2].on_frame})
     frame = data(0, 1)
     medium.begin_transmission(0, frame, 96)
     sim.run_until(96)
@@ -379,7 +379,7 @@ def test_clean_frame_delivered_to_all_in_range():
 
 def test_receiver_beyond_tx_range_not_decodable():
     sim, medium, recorders = make_medium([(0.0, 0.0), (300.0, 0.0)])
-    medium.register_listener(1, recorders[1].on_frame)
+    listen(medium, {1: recorders[1].on_frame})
     medium.begin_transmission(0, data(0, 1), 96)
     sim.run_until(96)
     assert corrupted(medium)[0] == ()   # not corrupted: out of decoding range
@@ -444,7 +444,7 @@ def test_third_overlap_spoils_receiver_that_senses_only_it():
     # overlaps spoil a receiver of 0, each a different one
     sim, medium, recorders = make_medium(
         [(0.0, 0.0), (100.0, 0.0), (-700.0, 0.0), (500.0, 0.0), (-200.0, 0.0)])
-    medium.register_listener(4, recorders[4].on_frame)
+    listen(medium, {4: recorders[4].on_frame})
     medium.begin_transmission(0, data(0, 1), 96)
     sim.schedule(10, lambda: medium.begin_transmission(2, data(2, 2), 96))
     sim.schedule(20, lambda: medium.begin_transmission(3, data(3, 3), 96))
@@ -459,8 +459,7 @@ def test_overlap_splits_overhearers_by_its_carrier_sense_range():
     # neither 3 (900 m) nor 1 (707 m)
     sim, medium, recorders = make_medium(
         [(0.0, 0.0), (0.0, 100.0), (200.0, 0.0), (-200.0, 0.0), (700.0, 0.0)])
-    medium.register_listener(2, recorders[2].on_frame)
-    medium.register_listener(3, recorders[3].on_frame)
+    listen(medium, {2: recorders[2].on_frame, 3: recorders[3].on_frame})
     frame = data(0, 1)
     medium.begin_transmission(0, frame, 96)
     sim.schedule(50, lambda: medium.begin_transmission(4, data(4, 4), 96))
@@ -473,7 +472,7 @@ def test_overlap_splits_overhearers_by_its_carrier_sense_range():
 
 def test_source_does_not_receive_own_frame():
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0)])
-    medium.register_listener(0, recorders[0].on_frame)
+    listen(medium, {0: recorders[0].on_frame})
     medium.begin_transmission(0, data(0, 1), 96)
     sim.run_until(100)
     medium.begin_transmission(0, data(0, 0), 96)   # addressed to itself
@@ -502,44 +501,47 @@ def test_addressed_frame_dispatched_to_receiver_mac():
 
 def test_listener_overhears_data_frames():
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
-    medium.register_listener(2, recorders[2].on_frame)
+    listen(medium, {2: recorders[2].on_frame})
     frame = data(0, 1)
     medium.begin_transmission(0, frame, 96)
     sim.run_until(96)
     assert [f for _, kind, f in recorders[2].events if kind == "frame"] == [frame]
 
 
-def test_listeners_are_called_in_ascending_id():
+def test_listeners_get_one_hook_call_with_their_mask():
     # 0 -> 1 is heard by listeners 2, 3 and 4, registered out of id order
-    sim, medium, _ = make_medium(
+    sim, medium, recorders = make_medium(
         [(0.0, 0.0), (100.0, 0.0), (0.0, 100.0), (-100.0, 0.0), (0.0, -100.0)])
     calls = []
+    recorders[1].on_frame = lambda frame: calls.append(("on_frame", frame))
     for sid in (4, 2, 3):
-        medium.register_listener(sid, lambda frame, sid=sid: calls.append(sid))
-    medium.begin_transmission(0, data(0, 1), 96)
+        medium.register_listener(sid)
+    medium.on_data = lambda frame, listened: calls.append(("on_data", frame, ids(listened)))
+    frame = data(0, 1)
+    medium.begin_transmission(0, frame, 96)
     sim.run_until(96)
-    assert calls == [2, 3, 4]
+    assert calls == [("on_frame", frame), ("on_data", frame, (2, 3, 4))]
 
 
-def test_addressed_listener_gets_on_frame_then_on_data_once():
+def test_addressed_listener_gets_on_frame_then_one_hook_call():
     # 0 -> 1, where the addressed 1 listens too, registered after listener 2
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
     calls = []
     recorders[1].on_frame = lambda frame: calls.append(("on_frame", 1, frame))
     for sid in (2, 1):
-        medium.register_listener(sid, lambda frame, sid=sid: calls.append(("on_data", sid, frame)))
+        medium.register_listener(sid)
+    medium.on_data = lambda frame, listened: calls.append(("on_data", ids(listened), frame))
     frame = data(0, 1)
     medium.begin_transmission(0, frame, 96)
     sim.run_until(96)
-    assert calls == [("on_frame", 1, frame), ("on_data", 1, frame), ("on_data", 2, frame)]
+    assert calls == [("on_frame", 1, frame), ("on_data", (1, 2), frame)]
     assert ends(medium)[0] == ((1, 2), ())
 
 
 def test_ack_reaches_no_listener():
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
     calls = []
-    for sid in (0, 2):
-        medium.register_listener(sid, calls.append)
+    listen(medium, {0: calls.append, 2: calls.append})
     ack = MacFrame(ACK, 1, 0)
     medium.begin_transmission(1, ack, 19)
     sim.run_until(19)
@@ -549,10 +551,10 @@ def test_ack_reaches_no_listener():
 
 
 def test_listener_registers_once():
-    _, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0)])
-    medium.register_listener(1, recorders[1].on_frame)
+    _, medium, _ = make_medium([(0.0, 0.0), (100.0, 0.0)])
+    medium.register_listener(1)
     with pytest.raises(MediumError):
-        medium.register_listener(1, recorders[1].on_frame)
+        medium.register_listener(1)
 
 
 # -- idle gap metric --------------------------------------------------------

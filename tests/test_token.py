@@ -1,9 +1,12 @@
 """Privilege scheduling: grant selection, overhearing, one-shot flag, Adapt."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokendcf import (DATA, ConfigError, MacFrame, ScenarioConfig, Simulator,
                       TokenParams, TokenScheduler, substream)
+from tokendcf.token import apply_header, overhear
 
 
 def make_sched(sid=0, params=None, seed=1):
@@ -16,6 +19,16 @@ def make_sched(sid=0, params=None, seed=1):
 def data(src, dst=99, privileged=None, q_len=0):
     return MacFrame(DATA, src, dst, payload_bytes=500,
                     privileged=privileged, q_len=q_len)
+
+
+def receive(sched, frame):
+    """Hand ``frame`` to ``sched`` through the DATA hook, as its only listener."""
+    overhear([None] * sched.sid + [sched], {}, frame, 1 << sched.sid)
+
+
+def adapt(sched, src):
+    """The Adapt step on one frame from ``src`` that names no station."""
+    apply_header((sched,), src, None, 0)
 
 
 # -- grant selection --------------------------------------------------------
@@ -69,8 +82,11 @@ def test_self_grant_sets_flag():
 
 def test_overheard_grant_to_me_sets_flag():
     _, sched = make_sched(sid=3)
-    sched.on_receive_data(data(7, privileged=3, q_len=20))
+    grants = []
+    sched.on_grant = lambda: grants.append(sched.sid)
+    receive(sched, data(7, privileged=3, q_len=20))
     assert sched.flag == 1
+    assert grants == [3]
     assert sched.q_len_map[7] == 20
     assert 7 in sched.active
 
@@ -78,7 +94,7 @@ def test_overheard_grant_to_me_sets_flag():
 def test_overheard_grant_to_other_clears_my_flag():
     _, sched = make_sched(sid=3)
     sched.flag = 1
-    sched.on_receive_data(data(7, privileged=5))
+    receive(sched, data(7, privileged=5))
     assert sched.flag == 0
 
 
@@ -94,7 +110,7 @@ def test_privilege_is_one_shot():
 def test_adapt_all_known_raises_p_and_resets_counters():
     _, sched = make_sched(sid=0)
     for _ in range(20):
-        sched.adapt(0)   # 0 is always in active
+        adapt(sched, 0)   # 0 is always in active
     assert sched.p == pytest.approx(0.1)
     assert (sched.success, sched.fail) == (0, 0)
 
@@ -102,9 +118,9 @@ def test_adapt_all_known_raises_p_and_resets_counters():
 def test_adapt_mostly_new_sources_keeps_p_at_zero_but_resets():
     _, sched = make_sched(sid=0)
     for src in range(1, 18):   # 17 unknown stations
-        sched.adapt(src)
+        adapt(sched, src)
     for _ in range(3):
-        sched.adapt(0)
+        adapt(sched, 0)
     # ratio 3/20 = 0.15 <= 0.2; p already 0 (< delta) stays; counters reset
     assert sched.p == 0.0
     assert (sched.success, sched.fail) == (0, 0)
@@ -113,9 +129,9 @@ def test_adapt_mostly_new_sources_keeps_p_at_zero_but_resets():
 def test_adapt_middle_band_retains_counters():
     _, sched = make_sched(sid=0)
     for src in range(1, 11):   # 10 unknown
-        sched.adapt(src)
+        adapt(sched, src)
     for _ in range(10):        # 10 known
-        sched.adapt(0)
+        adapt(sched, 0)
     # ratio 0.5: no p change, counters keep accumulating past maxNum
     assert sched.p == 0.0
     assert sched.success + sched.fail == 20
@@ -124,7 +140,7 @@ def test_adapt_middle_band_retains_counters():
 def test_p_clamped_at_max_p():
     _, sched = make_sched(sid=0)
     for _ in range(20 * 12):   # far more raises than needed to hit the cap
-        sched.adapt(0)
+        adapt(sched, 0)
     assert sched.p == pytest.approx(0.9)
 
 
@@ -132,18 +148,18 @@ def test_p_decreases_and_floors_at_zero():
     _, sched = make_sched(sid=0)
     sched.p = 0.1
     for src in range(1, 21):
-        sched.adapt(src)
+        adapt(sched, src)
     assert sched.p == pytest.approx(0.0)
     # further all-new batches keep p at 0
     for src in range(21, 41):
-        sched.adapt(src)
+        adapt(sched, src)
     assert sched.p == pytest.approx(0.0)
 
 
 def test_active_grows_only_with_decoded_sources():
     _, sched = make_sched(sid=0)
-    sched.on_receive_data(data(4, q_len=3))
-    sched.on_receive_data(data(9, q_len=1))
+    receive(sched, data(4, q_len=3))
+    receive(sched, data(9, q_len=1))
     assert sched.active == {0, 4, 9}
 
 
@@ -169,3 +185,107 @@ def test_reset_reschedules_every_period():
     assert sched.p == 0.5       # untouched between resets
     sim.run_until(200_000)
     assert sched.p == 0.0       # second reset at exactly 2 * period
+
+
+# -- the one-pass step against a per-station oracle -------------------------
+
+class _Oracle:
+    """Independent transliteration of one scheduler's rule, one frame at a time.
+
+    A decoded header sets the flag when it names the station, runs Adapt on
+    its source, records the source's queue length and grants the station it
+    names; an own transmission sets the flag by its own grant and runs Adapt
+    on the station itself.
+    """
+
+    def __init__(self, sid, params):
+        self.sid = sid
+        self.params = params
+        self.flag = 0
+        self.q_len_map = {}
+        self.reset()
+
+    def reset(self):
+        self.p = 0.0
+        self.active = {self.sid}
+        self.success = 0
+        self.fail = 0
+
+    def receive(self, src, privileged, q_len, grants):
+        granted = privileged == self.sid
+        self.flag = 1 if granted else 0
+        self.adapt(src)
+        self.q_len_map[src] = q_len
+        if granted:
+            grants.append(self.sid)
+
+    def transmit(self, privileged):
+        self.flag = 1 if privileged == self.sid else 0
+        self.adapt(self.sid)
+
+    def adapt(self, src):
+        if src not in self.active:
+            self.fail += 1
+            self.active.add(src)
+        else:
+            self.success += 1
+        total = self.success + self.fail
+        if total < self.params.max_num:
+            return
+        ratio = self.success / total
+        if ratio >= self.params.max_ratio:
+            self.p = min(self.p + self.params.delta, self.params.max_p)
+            self.success = 0
+            self.fail = 0
+        if ratio <= self.params.min_ratio:
+            if self.p >= self.params.delta:
+                self.p = max(self.p - self.params.delta, 0.0)
+            self.success = 0
+            self.fail = 0
+
+
+IDS = st.integers(min_value=0, max_value=7)   # schedulers and other senders, often known
+STEPS = st.one_of(
+    st.tuples(st.just("header"), IDS, st.none() | IDS, st.integers(0, 50),
+              st.integers(min_value=0, max_value=(1 << 12) - 1)),
+    st.tuples(st.just("transmit"), IDS, st.integers(0, 50)),
+    st.tuples(st.just("reset"), IDS),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=2, max_value=12), max_num=st.sampled_from([1, 2, 4, 5, 10, 20]),
+       steps=st.lists(STEPS, max_size=120))
+def test_one_pass_step_matches_per_station_oracle(n, max_num, steps):
+    params = TokenParams(max_num=max_num)
+    sim = Simulator()
+    scheds = [TokenScheduler(sid, sim, params, substream(1, sid, "sched")) for sid in range(n)]
+    oracles = [_Oracle(sid, params) for sid in range(n)]
+    grants, expected = [], []
+    for sched in scheds:
+        sched.on_grant = lambda sid=sched.sid: grants.append(sid)
+    hook_cache = {}
+    for step in steps:
+        kind, sid = step[0], step[1] % n
+        if kind == "header":
+            _, src, privileged, q_len, mask = step
+            listened = mask & ((1 << n) - 1) & ~(1 << src)   # a sender never hears itself
+            if listened:
+                overhear(scheds, hook_cache, data(src, privileged=privileged, q_len=q_len),
+                         listened)
+            for oracle in oracles:
+                if listened >> oracle.sid & 1:
+                    oracle.receive(src, privileged, q_len, expected)
+        elif kind == "transmit":
+            frame = data(sid)
+            scheds[sid].on_transmit_data(frame, step[2])
+            oracles[sid].transmit(frame.privileged)
+        else:
+            scheds[sid]._period_reset()
+            oracles[sid].reset()
+        assert grants == expected
+        for sched, oracle in zip(scheds, oracles):
+            assert (sched.p, sched.active, sched.success, sched.fail, sched.flag) == \
+                (oracle.p, oracle.active, oracle.success, oracle.fail, oracle.flag)
+            own = sched.sid
+            assert {k: v for k, v in sched.q_len_map.items() if k != own} == oracle.q_len_map
