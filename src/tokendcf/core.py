@@ -15,6 +15,11 @@ replaces it, so moving it leaves no entry in the heap.  The loop fires
 whichever of the heap's first entry and the alarm comes first by
 (fire_at, seq), so the delivery order is the one the alarm would have as a
 heap entry.
+
+Each station draws from its own ``substream``, a ``random.Random`` keyed by
+SHA-256 of (seed, *tags).  Its ``randint`` over int bounds, the backoff
+draw, is the standard library's draw in one call instead of three: the same
+ints and the same state.
 """
 
 import hashlib
@@ -105,9 +110,31 @@ def derive_seed(seed, *tags):
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
+class Substream(random.Random):
+    """A ``random.Random`` whose ``randint`` over int bounds is one call.
+
+    ``randint(a, b)`` with int ``a <= b`` is the standard library's own draw
+    (``randint`` -> ``randrange`` -> ``_randbelow``) written out in one
+    frame: rejection sampling over ``getrandbits(n.bit_length())`` with
+    ``n = b - a + 1``.  It returns the same ints and leaves the same state;
+    any other input goes to ``random.Random.randint``, errors included.
+    """
+
+    def randint(self, a, b):
+        if type(a) is int and type(b) is int and a <= b:
+            n = b - a + 1
+            k = n.bit_length()
+            getrandbits = self.getrandbits
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return a + r
+        return super().randint(a, b)
+
+
 def substream(seed, *tags):
-    """Independent random.Random seeded by ``derive_seed(seed, *tags)``."""
-    return random.Random(derive_seed(seed, *tags))
+    """Independent ``Substream`` seeded by ``derive_seed(seed, *tags)``."""
+    return Substream(derive_seed(seed, *tags))
 
 
 def pareto_scale(mean, shape):

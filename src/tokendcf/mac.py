@@ -11,6 +11,7 @@ token layer calls the station's ``on_grant`` when a decoded frame names it.
 """
 
 from collections import deque
+from functools import partial
 
 from .frames import ACK, DATA, MacFrame, frame_airtime
 
@@ -174,8 +175,7 @@ class Station:
                 self._ack_received()
             return
         if frame.dst == self.sid:
-            src = frame.src
-            self.sim.schedule(self.phy.sifs, lambda: self._send_ack(src))
+            self.sim.schedule(self.phy.sifs, partial(self._send_ack, frame.src))
 
     def on_grant(self):
         """A decoded data frame, addressed or overheard, named this station privileged."""

@@ -49,6 +49,7 @@ behind in the heap.
 
 import math
 from bisect import bisect_right
+from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import compress, count
 
@@ -441,7 +442,7 @@ class Medium:
                 if group.heap or group.solo:
                     self._freeze(group, now)
 
-        self.sim.schedule(airtime, lambda: self._finish(tx))
+        self.sim.schedule(airtime, partial(self._finish, tx))
         if self.trace is not None:
             self.trace.append((now, "tx", src, frame.kind, tx.end, frame.dst))
         return tx

@@ -1,12 +1,14 @@
 """Event engine ordering, the alarm, closing and the seeded random streams."""
 
+import random
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokendcf import Simulator, derive_seed, draw_pareto, pareto_scale, substream
+from tokendcf import (MacParams, Simulator, derive_seed, draw_pareto, pareto_scale,
+                      substream)
 from tokendcf.core import SimError
 
 
@@ -224,6 +226,45 @@ def test_uniform_backoff_draw_frequencies():
 def test_uniform_degenerate_range():
     rng = substream(1, "z")
     assert rng.randint(0, 0) == 0
+
+
+def reachable_windows(mac):
+    """Every contention window a station reaches: cw_min doubled up to cw_max."""
+    windows = [mac.cw_min]
+    while windows[-1] < mac.cw_max:
+        windows.append(min(2 * windows[-1], mac.cw_max))
+    return windows
+
+
+@pytest.mark.parametrize("mac", [MacParams(), MacParams(cw_min=31, cw_max=1023),
+                                 MacParams(cw_min=1, cw_max=6), MacParams(cw_min=8, cw_max=8)])
+@pytest.mark.parametrize("seed", [0, 1, 7919, 2**64 - 1])
+def test_substream_randint_draws_as_the_stdlib(mac, seed):
+    # the one-call randint must give the stdlib's ints draw for draw and
+    # leave the same state, for every backoff draw randint(0, cw) the MAC
+    # makes and for the edges: a == b, negative bounds, ranges past 2**64
+    # and bool bounds, which take the stdlib's own path
+    bounds = [(0, cw) for cw in reachable_windows(mac)]
+    bounds += [(3, 3), (-5, 2), (-2**70, -2**70 + 9), (2**64, 2**66), (0, 2**65 + 3),
+               (False, True)]
+    ours = substream(seed, "backoff")
+    ref = random.Random(derive_seed(seed, "backoff"))
+    assert type(ours).randint is not random.Random.randint
+    for a, b in bounds:
+        assert [ours.randint(a, b) for _ in range(40)] == [ref.randint(a, b) for _ in range(40)]
+        assert ours.getstate() == ref.getstate()
+    # interleaved, as stations whose windows differ draw in turn
+    for _ in range(40):
+        for a, b in bounds:
+            assert ours.randint(a, b) == ref.randint(a, b)
+    assert ours.getstate() == ref.getstate()
+
+
+def test_substream_randint_rejects_an_empty_range_as_the_stdlib():
+    with pytest.raises(ValueError):
+        random.Random(1).randint(5, 4)
+    with pytest.raises(ValueError):
+        substream(1, "backoff").randint(5, 4)
 
 
 def test_pareto_scale_formula():

@@ -6,8 +6,9 @@ in the layout they had when the table was pinned, both rebuilt from the one
 stream: the trace with five-field ``end`` records (the delivered ids as a
 sorted tuple, no corrupted set), then the log of finished frames.  A
 refactor must leave every digest unchanged.  A change that alters behaviour
-on purpose replaces the table below with the one printed on failure, and
-says so in CHANGES.md.
+on purpose replaces the table below with the one printed on failure, re-pins
+the benchmark workloads' ``sim.trace_digest`` values in CI's "Benchmark
+smoke" step, and says so in CHANGES.md.
 """
 
 import hashlib

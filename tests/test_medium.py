@@ -5,13 +5,13 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokendcf import (ACK, DATA, ConfigError, MacFrame, Medium, Metrics,
                       PhyParams, ScenarioConfig, Simulation, Simulator, Station,
                       derive_seed, generate_topology)
-from tokendcf.medium import MediumError, neighbor_tables
+from tokendcf.medium import MediumError, members, neighbor_tables
 
 from conftest import Recorder, finished_frames, ids, listen
 
@@ -42,6 +42,20 @@ def ends(medium):
 def corrupted(medium):
     """src -> the receivers the trace's "end" record lists as corrupted."""
     return {src: spoiled for src, (_delivered, spoiled) in ends(medium).items()}
+
+
+# -- bit masks ---------------------------------------------------------------
+
+@given(st.one_of(st.sets(st.integers(0, 1599)),
+                 st.sets(st.integers(1500, 1599), max_size=4)))
+@example(set())
+@example({1599})
+@example(set(range(200)))
+@example({0, 1599})
+@example({1024, 1599})
+def test_members_are_the_set_bits_ascending(bits):
+    mask = sum(1 << b for b in bits)
+    assert list(members(mask)) == sorted(bits)
 
 
 # -- geometry ---------------------------------------------------------------
