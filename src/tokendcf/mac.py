@@ -2,7 +2,12 @@
 
 A station with a traffic source contends for the channel with DIFS + uniform
 backoff in [0, CW], freezes the countdown while the channel is busy, and runs
-the DATA/ACK exchange with binary exponential backoff on ACK timeout.  When a
+the DATA/ACK exchange with binary exponential backoff on ACK timeout.  The
+timeout is reserved when the DATA frame ends and queued only when the ACK is
+lost (``ack_lost``): the DATA frame missed its addressee, the addressee was
+transmitting when its ACK was due (half-duplex), or the ACK missed the
+station.  So every timeout that fires acts, and it fires where one queued at
+the DATA frame's end would have.  When a
 token scheduler is attached, the access plan may collapse to a bare SIFS wait
 (privileged access) and every transmitted/decoded data frame feeds the
 scheduler state: the network's DATA hook on the medium hands each header the
@@ -30,7 +35,7 @@ class Station:
         "dst", "payload_bytes", "scheduler", "source",
         "queue", "cw", "retries", "phase",
         "pending_slots", "sifs_plan", "registered",
-        "_ack_due",
+        "ack_timeout_us", "_ack_wait",
         "enqueued", "delivered", "dropped_full", "dropped_retry",
         "data_header_bytes", "data_airtime", "ack_airtime",
     )
@@ -55,7 +60,7 @@ class Station:
         self.pending_slots = None   # None = fresh draw on next resume
         self.sifs_plan = False
         self.registered = False     # the medium holds its access, counting or frozen
-        self._ack_due = None        # when the pending ACK timeout fires, else None
+        self._ack_wait = None       # the reserved ACK timeout while unqueued, else None
         self.enqueued = 0
         self.delivered = 0
         self.dropped_full = 0
@@ -65,6 +70,7 @@ class Station:
         )
         self.data_airtime = frame_airtime(self.data_header_bytes, payload_bytes, self.phy)
         self.ack_airtime = frame_airtime(mac.ack_header_bytes, 0, self.phy)
+        self.ack_timeout_us = self.phy.sifs + self.ack_airtime + mac.ack_timeout_guard
         if scheduler is not None:
             scheduler.on_grant = self.on_grant
             medium.register_listener(sid)
@@ -155,12 +161,27 @@ class Station:
         self.phase = TRANSMITTING
         self.medium.begin_transmission(self.sid, frame, self.data_airtime)
 
-    def on_tx_complete(self, frame):
+    def on_tx_complete(self, frame, delivered):
+        """This station's frame left the air; ``delivered``: its addressee decoded it."""
         if frame.kind == DATA:
             self.phase = AWAIT_ACK
-            timeout = self.phy.sifs + self.ack_airtime + self.mac.ack_timeout_guard
-            self._ack_due = self.sim.now + timeout
-            self.sim.schedule(timeout, self._ack_timeout)
+            self._ack_wait = self.sim.reserve(self.ack_timeout_us)
+            if not delivered:
+                self.ack_lost()
+        elif not delivered:
+            # the station awaiting this ACK will not get it
+            self.medium.stations[frame.dst].ack_lost()
+
+    def ack_lost(self):
+        """The pending exchange's ACK will not arrive: queue its reserved timeout.
+
+        It is queued at most once per exchange; a call with no timeout
+        reserved does nothing.
+        """
+        reserved = self._ack_wait
+        if reserved is not None:
+            self._ack_wait = None
+            self.sim.queue(reserved, self._ack_timeout)
 
     # -- reception ---------------------------------------------------------
 
@@ -189,12 +210,13 @@ class Station:
         # ``phase`` tracks the station's own data and is left alone here: a
         # station that sends and receives may be waiting or awaiting its ACK
         if self.medium.is_transmitting(self.sid):   # half-duplex guard
+            self.medium.stations[dst].ack_lost()
             return
         frame = MacFrame(ACK, self.sid, dst)
         self.medium.begin_transmission(self.sid, frame, self.ack_airtime)
 
     def _ack_received(self):
-        self._ack_due = None
+        self._ack_wait = None
         arrival = self.queue.popleft()
         now = self.sim.now
         self.metrics.delivered_bits += 8 * self.payload_bytes
@@ -210,12 +232,6 @@ class Station:
             self.phase = IDLE
 
     def _ack_timeout(self):
-        # a timeout whose ACK arrived fires all the same and does nothing; a
-        # station's DATA frames end at strictly increasing times, so a
-        # superseded timeout never meets the next one's deadline
-        if self.sim.now != self._ack_due:
-            return
-        self._ack_due = None
         self.metrics.tx_failures += 1
         self.retries += 1
         self.cw = min(2 * self.cw, self.mac.cw_max)

@@ -7,6 +7,8 @@ no capture effect).  A station that transmits itself during the overlap is
 corrupted too (half-duplex).  Propagation delay is zero.  A decoded frame goes
 to the addressed station's ``on_frame``, then a DATA frame to the ``on_data``
 hook once, with the mask of every listener that decoded it, addressed or not.
+Last, the source's ``on_tx_complete(frame, delivered)`` learns whether the
+addressed station decoded the frame.
 
 Neighbour sets are int bit masks.  Bit b of tx_mask[a] is set exactly
 when b lies within tx_range of a (a itself excluded), and bit b of
@@ -472,8 +474,9 @@ class Medium:
         heard = self.tx_mask[src]
         decoded = heard & ~tx.spoil
         dst = frame.dst
+        delivered = decoded >> dst & 1
         # addressed receiver first so its response wins same-instant ties
-        if decoded >> dst & 1:
+        if delivered:
             stations[dst].on_frame(frame)
         # DATA: listeners want the scheduling header
         listened = decoded & self._listen if frame.kind == 0 else 0
@@ -483,6 +486,6 @@ class Medium:
             self.trace.append((now, "end", src, frame.kind,
                                decoded & (listened | 1 << dst), heard & tx.spoil))
 
-        stations[src].on_tx_complete(frame)
+        stations[src].on_tx_complete(frame, delivered)
         for group in newly_idle:
             self._resume(group)

@@ -37,8 +37,11 @@ class Recorder:
     def on_frame(self, frame):
         self.events.append((self.sim.now, "frame", frame))
 
-    def on_tx_complete(self, frame):
-        self.events.append((self.sim.now, "tx_complete", frame))
+    def on_tx_complete(self, frame, delivered):
+        self.events.append((self.sim.now, "tx_complete", (frame, bool(delivered))))
+
+    def ack_lost(self):
+        self.events.append((self.sim.now, "ack_lost", None))
 
     def on_channel_idle(self, slots):
         self.events.append((self.sim.now, "idle", slots))

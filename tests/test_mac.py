@@ -1,8 +1,14 @@
 """DCF station behavior: queueing, backoff bookkeeping, retries, ACK timing."""
 
-import pytest
+import collections
+import contextlib
 
-from tokendcf import DATA, ACK, MacFrame, MacParams, TrafficSpec, frame_airtime
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tokendcf import (DATA, ACK, MacFrame, MacParams, ScenarioConfig, Simulation,
+                      Station, TrafficSpec, derive_seed, frame_airtime)
 from tokendcf.traffic import FullBufferSource, make_source
 from tokendcf.mac import ACCEPTED, DROPPED, IDLE, WAITING
 
@@ -298,9 +304,9 @@ def test_ack_resets_cw_to_min():
     assert st.retries == 0
 
 
-def test_superseded_ack_timeout_does_nothing_for_any_guard():
-    # every ACK of a lone flow arrives, so the guard only moves the instant
-    # its superseded timeout fires, up to well inside the next exchange
+def test_delivered_ack_queues_no_timeout_for_any_guard():
+    # every ACK of a lone flow arrives, so no timeout is ever queued and the
+    # guard, which only sets when a queued one would fire, changes nothing
     def trace(guard):
         net = single_flow(mac=MacParams(ack_timeout_guard=guard), trace=True)
         net.saturate().run(20_000)
@@ -310,6 +316,113 @@ def test_superseded_ack_timeout_does_nothing_for_any_guard():
     reference = trace(20)
     for guard in range(1, 394, 7):
         assert trace(guard) == reference, f"guard {guard}"
+
+
+# -- every lost ACK times out, and only a lost one ---------------------------
+#
+# A timeout is queued on three paths: the DATA frame missed its addressee,
+# the addressee was transmitting when its ACK was due, or the ACK missed the
+# station awaiting it.  Each path leaves the sender waiting forever if it is
+# missed, so per station every DATA attempt ends in an ACK or a timeout, bar
+# one exchange still open at the horizon.
+
+@contextlib.contextmanager
+def counted_timeouts():
+    """sid -> ACK timeouts fired, while the block runs."""
+    fired = collections.Counter()
+    original = Station._ack_timeout
+
+    def counted(self):
+        fired[self.sid] += 1
+        original(self)
+
+    Station._ack_timeout = counted
+    try:
+        yield fired
+    finally:
+        Station._ack_timeout = original
+
+
+def check_ack_accounting(stations, metrics, trace, horizon, fired):
+    assert sum(fired.values()) == metrics.tx_failures
+    for st in stations:
+        # (t, "tx", src, kind, end, dst) records of its DATA frames
+        ends = [rec[4] for rec in trace if rec[1] == "tx" and rec[2] == st.sid and rec[3] == DATA]
+        still_open = len(ends) - st.delivered - fired[st.sid]
+        assert still_open in (0, 1), st.sid
+        if still_open:
+            # neither its ACK nor its timeout was due by the horizon
+            assert ends[-1] + st.ack_timeout_us > horizon, st.sid
+
+
+def half_duplex_loss(guard):
+    """0 <-> 1 (token); 0's DATA grants 1, and 1's SIFS access beats its own ACK.
+
+    Station 2, far off, has a backoff due the instant 1's ACK is, so the
+    wake-up alarm is already set for that instant, ahead of the ACK's event:
+    1 transmits its DATA first, and the half-duplex guard stops the ACK.
+    """
+    net = Network([(0.0, 0.0), (100.0, 0.0), (2000.0, 0.0), (2100.0, 0.0)],
+                  [(0, 1), (1, 0), (2, 3)], protocol="token_dcf",
+                  mac=MacParams(ack_timeout_guard=guard), trace=True)
+    sched = net.stations[0].scheduler
+    sched.p = 1.0                  # always grant, to 1's advertised queue
+    sched.active.add(1)
+    sched.q_len_map[1] = 50
+    st0 = join_at(net, 0, 0, 0, 0)
+    join_at(net, 1, 0, 20, 99)
+    data_end = 28 + st0.data_airtime
+    join_at(net, 2, data_end + 10 - 28, 0, 0)
+    return net
+
+
+@settings(max_examples=30, deadline=None)
+@given(layout=st.sampled_from(["clique", "spatial", "wide", "half_duplex"]),
+       protocol=st.sampled_from(["dcf", "token_dcf"]),
+       kind=st.sampled_from(["full_buffer", "pareto_on_off"]),
+       guard=st.sampled_from([1, 20, 57, 393]),
+       seed=st.integers(0, 2**32 - 1))
+@example(layout="half_duplex", protocol="token_dcf", kind="full_buffer", guard=20, seed=0)
+# hidden terminals that spoil an ACK at its addressee
+@example(layout="spatial", protocol="token_dcf", kind="pareto_on_off", guard=20, seed=2)
+@example(layout="spatial", protocol="dcf", kind="pareto_on_off", guard=20, seed=0)
+@example(layout="wide", protocol="dcf", kind="full_buffer", guard=1, seed=1)
+def test_every_lost_ack_times_out_and_no_other(layout, protocol, kind, guard, seed):
+    # clique: 150 m; spatial: 800 m, hidden terminals; wide: 1500 m, where
+    # the flows of transmitters near the east edge never deliver
+    with counted_timeouts() as fired:
+        if layout == "half_duplex":
+            horizon = 3_000
+            net = half_duplex_loss(guard)
+            net.run(horizon)
+            stations, metrics, trace = net.stations, net.metrics, net.trace
+        else:
+            traffic = TrafficSpec(kind=kind, packet_size=1500, rate_bps=2e6)
+            config = ScenarioConfig(
+                protocol=protocol, n_transmitters=30, duration_s=0.03,
+                area_side={"clique": 150.0, "spatial": 800.0, "wide": 1500.0}[layout],
+                mac=MacParams(ack_timeout_guard=guard), traffic=traffic)
+            horizon = config.horizon_us
+            trace = []
+            sim = Simulation(config, derive_seed(seed, 0), trace=trace)
+            sim.run()
+            stations, metrics = sim.stations, sim.metrics
+    check_ack_accounting(stations, metrics, trace, horizon, fired)
+
+
+@pytest.mark.parametrize("guard", [1, 20, 393])
+def test_half_duplex_guard_queues_the_senders_timeout(guard):
+    # 1's ACK for 0's first frame never airs; 0 times out and sends again
+    net = half_duplex_loss(guard)
+    net.run(3_000)
+    st0 = net.stations[0]
+    data_end = 28 + st0.data_airtime
+    sent = [(t, src, fkind) for t, kind, src, fkind, *_ in net.trace if kind == "tx"]
+    assert sent[:3] == [(28, 0, DATA), (data_end + 10, 1, DATA), (data_end + 10, 2, DATA)]
+    assert (data_end + 10, 1, ACK) not in sent
+    assert net.metrics.tx_failures == 1
+    assert st0.rng.bounds == [16, 32]     # the retry draws from a doubled window
+    assert st0.delivered == 1
 
 
 # -- end-to-end exchange timing ---------------------------------------------

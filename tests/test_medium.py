@@ -366,14 +366,17 @@ def test_withdrawal_needs_a_frozen_access():
         medium.withdraw_access(1)
 
 
-MEDIUM_CALLBACKS = ("fire_access", "on_channel_idle", "on_frame", "on_tx_complete")
+# what the medium calls on a station, and ``ack_lost``, which the station
+# that was to send an ACK calls on the one awaiting it
+STATION_CALLBACKS = ("ack_lost", "fire_access", "on_channel_idle", "on_frame",
+                     "on_tx_complete")
 
 
 def test_recorder_stub_has_the_station_callbacks():
-    # the stub stands in for Station wherever the medium calls back, so it
-    # has exactly Station's callbacks, with the same parameters
-    assert {name for name in vars(Recorder) if not name.startswith("_")} == set(MEDIUM_CALLBACKS)
-    for name in MEDIUM_CALLBACKS:
+    # the stub stands in for Station wherever the medium or a peer calls
+    # back, so it has exactly Station's callbacks, with the same parameters
+    assert {name for name in vars(Recorder) if not name.startswith("_")} == set(STATION_CALLBACKS)
+    for name in STATION_CALLBACKS:
         assert inspect.signature(getattr(Recorder, name)) == \
             inspect.signature(getattr(Station, name)), name
 
@@ -493,6 +496,31 @@ def test_source_does_not_receive_own_frame():
     sim.run_until(200)
     assert frames_at(recorders[0]) == []
     assert [t for t, kind, _ in recorders[0].events if kind == "tx_complete"] == [96, 196]
+
+
+def tx_completes(recorder):
+    """(time, frame, delivered) of each ``on_tx_complete`` a recorder station got."""
+    return [(t, *info) for t, kind, info in recorder.events if kind == "tx_complete"]
+
+
+def test_tx_complete_says_whether_the_addressee_decoded_the_frame():
+    # 0 -> 1 clean; 0 -> 2 beyond tx range; then 0 -> 1 and 3 -> 1 collide
+    sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (300.0, 0.0),
+                                          (150.0, 0.0)])
+    clean, far, spoiled, other = data(0, 1), data(0, 2), data(0, 1), data(3, 1)
+    medium.begin_transmission(0, clean, 96)
+    sim.schedule(100, lambda: medium.begin_transmission(0, far, 96))
+    sim.schedule(300, lambda: medium.begin_transmission(0, spoiled, 96))
+    sim.schedule(350, lambda: medium.begin_transmission(3, other, 96))
+    ack = MacFrame(ACK, 1, 0)
+    sim.schedule(600, lambda: medium.begin_transmission(1, ack, 19))
+    sim.run_until(700)
+    assert tx_completes(recorders[0]) == [(96, clean, True), (196, far, False),
+                                          (396, spoiled, False)]
+    assert tx_completes(recorders[3]) == [(446, other, False)]
+    assert tx_completes(recorders[1]) == [(619, ack, True)]
+    # the medium reports delivery; it tells no station that an ACK is lost
+    assert not any(kind == "ack_lost" for rec in recorders for _, kind, _ in rec.events)
 
 
 def test_duplicate_transmission_rejected():
