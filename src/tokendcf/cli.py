@@ -60,9 +60,13 @@ def main(argv=None):
         print("config ok")
         return 0
 
+    try:   # before the first run, so that a bad --out costs no simulation
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "run":
         row = run_scenario(config)
-        os.makedirs(args.out, exist_ok=True)
         write_csv(os.path.join(args.out, "results.csv"), [row])
         avg = row.averages
         print(f"{row.protocol}: throughput {avg['throughput_bps']:.0f} bps, "

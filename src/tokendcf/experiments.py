@@ -15,7 +15,7 @@ from .medium import Medium
 from .metrics import Metrics, summarize
 from .params import (ConfigError, MacParams, PhyParams, TokenParams, require_finite,
                      require_ints)
-from .token import TokenScheduler, overhear
+from .token import TokenScheduler, overhear, start_period_clock
 from .traffic import TrafficSpec, make_source
 
 PROTOCOLS = ("dcf", "token_dcf")
@@ -257,8 +257,7 @@ class Network:
             else:
                 scheduler = None
                 if use_token:
-                    scheduler = TokenScheduler(sid, self.sim, config.token,
-                                               substream(run_seed, sid, "sched"))
+                    scheduler = TokenScheduler(sid, config.token, substream(run_seed, sid, "sched"))
                 st = Station(
                     sid, self.sim, self.medium, config.mac, self.metrics,
                     rng=substream(run_seed, sid, "backoff"),
@@ -266,6 +265,9 @@ class Network:
                     scheduler=scheduler,
                 )
             self.stations.append(st)
+        schedulers = [st.scheduler for st in self.stations if st.scheduler is not None]
+        if schedulers:   # one event resets them all, in ascending sid
+            start_period_clock(self.sim, schedulers, config.token.period_us)
         self.medium.bind(self.stations)
         if use_token:
             self.medium.on_data = partial(overhear, [st.scheduler for st in self.stations], {})

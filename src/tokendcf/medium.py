@@ -337,19 +337,14 @@ class Medium:
         # the alarm stays at its stale time and may fire with nothing due:
         # re-arming it here reorders same-instant events and changes traces
         self._fire.pop(group, None)
-        if group.heap:
-            group.offset += self._counted(group.epoch, now)
+        if group.heap and now - group.epoch > self._difs:
+            group.offset += (now - group.epoch - self._difs) // self._slot
         if group.solo:
             for sid, (_fire_at, start, slots) in group.solo.items():
-                if slots is not None:
-                    slots = max(slots - self._counted(start, now), 0)
+                if slots is not None and now - start > self._difs:
+                    slots = max(slots - (now - start - self._difs) // self._slot, 0)
                 group.frozen.append((sid, slots))
             group.solo = {}
-
-    def _counted(self, since, now):
-        """Whole slots counted from ``since`` to a busy edge: none before DIFS."""
-        idle = now - since - self._difs
-        return idle // self._slot if idle > 0 else 0
 
     def _resume(self, group):
         """Idle edge of a group with waiters: restart every count in it."""
@@ -366,9 +361,10 @@ class Medium:
         """Index an idle group under its earliest fire time, or drop it if nobody waits."""
         heap = group.heap
         at = group.epoch + self._difs + (heap[0][0] - group.offset) * self._slot if heap else _INF
-        for fire_at, _start, _slots in group.solo.values():
-            if fire_at < at:
-                at = fire_at
+        if group.solo:
+            for fire_at, _start, _slots in group.solo.values():
+                if fire_at < at:
+                    at = fire_at
         if at < _INF:
             self._fire[group] = at
         else:
@@ -384,17 +380,20 @@ class Medium:
         now = self.sim.now
         fire = self._fire
         due = []
-        for group in [g for g, at in fire.items() if at <= now]:
-            solo = group.solo
-            if solo:
-                for sid in [sid for sid, entry in solo.items() if entry[0] <= now]:
-                    del solo[sid]
-                    due.append(sid)
-            heap = group.heap
-            counted = (now - group.epoch - self._difs) // self._slot
-            while heap and heap[0][0] - group.offset <= counted:
-                due.append(heappop(heap)[1])
-            self._index(group)
+        # snapshots, not comprehensions: CPython < 3.12 calls each comprehension
+        for group, at in tuple(fire.items()):
+            if at <= now:
+                solo = group.solo
+                if solo:
+                    for sid, entry in tuple(solo.items()):
+                        if entry[0] <= now:
+                            del solo[sid]
+                            due.append(sid)
+                heap = group.heap
+                limit = (now - group.epoch - self._difs) // self._slot + group.offset
+                while heap and heap[0][0] <= limit:
+                    due.append(heappop(heap)[1])
+                self._index(group)
         # all stations due at the same instant transmit together
         # (slot-synchronized collision), even though the first handoff
         # flips the channel busy for the rest

@@ -10,6 +10,8 @@ A frame that names you sets your flag and calls ``on_grant``, which the
 station installs so that the grant reaches an access already planned; a set
 flag turns the next channel access into a bare SIFS wait.  The Adapt step
 moves p up or down by delta by how many transmissions came from known stations.
+One event per network, ``start_period_clock``, resets every scheduler's Adapt
+state in ascending id each ``period_us``, then reschedules itself.
 """
 
 from .medium import members
@@ -20,14 +22,15 @@ def _no_station():
 
 
 class TokenScheduler:
+    """One station's flag, queue table and Adapt state, reset only by the network's period clock."""
+
     __slots__ = (
-        "sid", "sim", "params", "rng",
+        "sid", "params", "rng",
         "p", "active", "success", "fail", "flag", "q_len_map", "on_grant",
     )
 
-    def __init__(self, sid, sim, params, rng):
+    def __init__(self, sid, params, rng):
         self.sid = sid
-        self.sim = sim
         self.params = params
         self.rng = rng
         self.flag = 0
@@ -37,14 +40,12 @@ class TokenScheduler:
         self.success = 0
         self.fail = 0
         self.on_grant = _no_station   # called when a decoded data frame names sid
-        sim.schedule(params.period_us, self._period_reset)
 
     def _period_reset(self):
         self.p = 0.0
         self.active = {self.sid}
         self.success = 0
         self.fail = 0
-        self.sim.schedule(self.params.period_us, self._period_reset)
 
     # -- grant selection ---------------------------------------------------
 
@@ -56,10 +57,10 @@ class TokenScheduler:
         """
         if self.rng.random() >= self.p:
             return None
-        best = None
-        best_w = -1.0
+        sid, weights = self.sid, self.q_len_map
+        best, best_w = None, -1.0
         for s in self.active:
-            w = own_queue_len if s == self.sid else self.q_len_map.get(s, 0)
+            w = own_queue_len if s == sid else weights[s] if s in weights else 0
             if w > best_w or (w == best_w and s < best):
                 best, best_w = s, w
         return best
@@ -79,6 +80,15 @@ class TokenScheduler:
     def close(self):
         """Forget the installed ``on_grant``, the link back to the station."""
         self.on_grant = _no_station
+
+
+def start_period_clock(sim, schedulers, period_us):
+    """Reset ``schedulers``, in list order, every ``period_us`` from now: one event at a time."""
+    def reset_all():
+        for s in schedulers:
+            s._period_reset()
+        start_period_clock(sim, schedulers, period_us)
+    sim.schedule(period_us, reset_all)
 
 
 def overhear(schedulers, by_mask, frame, listened):

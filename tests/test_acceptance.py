@@ -195,7 +195,7 @@ class _AdaptOracle:
 
 
 def test_criterion_09_adapt_controller_oracle():
-    from tokendcf import Simulator, TokenScheduler, substream
+    from tokendcf import TokenScheduler, substream
     from tokendcf.token import apply_header
 
     params = TokenParams()
@@ -205,8 +205,7 @@ def test_criterion_09_adapt_controller_oracle():
     p_bound_ok = True
     while events < 1_000_000:
         sid = rng.randrange(8)
-        sched = TokenScheduler(sid, Simulator(), params,
-                               substream(events, sid, "sched"))
+        sched = TokenScheduler(sid, params, substream(events, sid, "sched"))
         oracle = _AdaptOracle(sid, params)
         pool = rng.randrange(2, 40)
         for _ in range(1000):

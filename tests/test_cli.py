@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tokendcf import parse_config
+from tokendcf import experiments, parse_config
 from tokendcf.cli import _parse_values, main
 
 GOOD_CONFIG = """
@@ -68,6 +68,23 @@ def test_run_writes_results_csv(config_file, tmp_path, capsys):
     assert main(["run", "--config", config_file, "--out", str(out)]) == 0
     assert (out / "results.csv").exists()
     assert "throughput" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "n_transmitters",
+                                                 "--values", "2,3"]])
+@pytest.mark.parametrize("out", ["afile", "afile/x"])
+def test_unusable_out_fails_before_any_run(config_file, tmp_path, capsys, monkeypatch,
+                                           command, out):
+    # a file where the output directory should be, or above it, used to
+    # raise FileExistsError / NotADirectoryError after the whole scenario ran
+    (tmp_path / "afile").write_text("")
+    runs = []
+    monkeypatch.setattr(experiments, "simulate_run", lambda *args: runs.append(args))
+    argv = [command[0], "--config", config_file, "--out", str(tmp_path / out)] + command[1:]
+    assert main(argv) == 2
+    assert runs == []
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and "afile" in err
 
 
 def test_sweep_writes_csv_and_plot_data(config_file, tmp_path):

@@ -358,6 +358,57 @@ def test_subscriber_gets_busy_and_idle_edges():
     assert not any(kind == "fire" for rec in recorders for _, kind, _ in rec.events)
 
 
+def fires_in_order(sim, recorders):
+    """(time, sid) per ``fire_access`` call on any of ``recorders``, in call order."""
+    fired = []
+    for rec in recorders:
+        rec.fire_access = lambda sid=rec.sid: fired.append((sim.now, sid))
+    return fired
+
+
+def test_due_stations_of_two_groups_fire_in_ascending_id():
+    # 1 counts 2 slots in its group's heap from t=0; 0, in another group,
+    # starts a solo SIFS wait that ends at the same instant.  1's group is
+    # indexed first, yet 0 fires first.
+    sim, medium, recorders = make_medium([(0.0, 0.0), (2000.0, 0.0)])
+    phy = medium.phy
+    due = phy.difs + 2 * phy.slot_time
+    fired = fires_in_order(sim, recorders)
+    sim.schedule(0, lambda: medium.join(1) and medium.register_access(1, 2))
+    sim.schedule(due - phy.sifs, lambda: medium.join(0) and medium.register_access(0, None))
+    sim.run_until(1000)
+    assert fired == [(due, 0), (due, 1)]
+
+
+def test_lone_due_station_fires():
+    sim, medium, recorders = make_medium([(0.0, 0.0)])
+    fired = fires_in_order(sim, recorders)
+    sim.schedule(3, lambda: medium.join(0) and medium.register_access(0, 5))
+    sim.run_until(1000)
+    assert fired == [(3 + medium.phy.difs + 5 * medium.phy.slot_time, 0)]
+
+
+def test_stale_wake_fires_nobody_and_rearms_at_the_next_fire_time():
+    # 0 counts 2 slots from t=0, due at 46; 2, out of everyone's range,
+    # counts 10, due at 118.  1's frame from t=30 to 230 freezes 0's group:
+    # the wake stays at 46, finds nobody due there and moves to 118.  0
+    # resumes at 230 with its 2 slots and fires at 230 + 28 + 18 = 276.
+    sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (2000.0, 0.0)])
+    assert (medium.phy.difs, medium.phy.slot_time) == (28, 9)
+    fired = fires_in_order(sim, recorders)
+    wakes = []
+    wake = medium._wake
+    medium._wake = lambda: (wakes.append(sim.now), wake())
+    sim.schedule(0, lambda: medium.join(0) and medium.register_access(0, 2))
+    sim.schedule(0, lambda: medium.join(2) and medium.register_access(2, 10))
+    sim.schedule(30, lambda: medium.begin_transmission(1, data(1, 0), 200))
+    sim.run_until(46)
+    assert (wakes, fired, medium._wake_at) == ([46], [], 118)
+    sim.run_until(1000)
+    assert wakes == [46, 118, 276]
+    assert fired == [(118, 2), (276, 0)]
+
+
 def test_withdrawal_needs_a_frozen_access():
     sim, medium, _ = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
     medium.begin_transmission(0, data(0, 1), 96)

@@ -4,15 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokendcf import (DATA, ConfigError, MacFrame, ScenarioConfig, Simulator,
-                      TokenParams, TokenScheduler, substream)
-from tokendcf.token import apply_header, overhear
+from tokendcf import (DATA, ConfigError, MacFrame, Network, ScenarioConfig, Simulation,
+                      Simulator, TokenParams, TokenScheduler, derive_seed, experiments,
+                      substream)
+from tokendcf.token import apply_header, overhear, start_period_clock
 
 
 def make_sched(sid=0, params=None, seed=1):
+    """A simulator and a scheduler that the network's period clock resets on it."""
     sim = Simulator()
-    sched = TokenScheduler(sid, sim, params or TokenParams(),
-                           substream(seed, sid, "sched"))
+    params = params or TokenParams()
+    sched = TokenScheduler(sid, params, substream(seed, sid, "sched"))
+    start_period_clock(sim, [sched], params.period_us)
     return sim, sched
 
 
@@ -187,6 +190,52 @@ def test_reset_reschedules_every_period():
     assert sched.p == 0.0       # second reset at exactly 2 * period
 
 
+def _own_reset(sim, sched, period_us):
+    def reset():
+        sched._period_reset()
+        sim.schedule(period_us, reset)
+    sim.schedule(period_us, reset)
+
+
+def per_scheduler_resets(sim, schedulers, period_us):
+    """The rule the period clock replaced: each scheduler's own self-rescheduling reset."""
+    for sched in schedulers:
+        _own_reset(sim, sched, period_us)
+
+
+def token_trace(n, area_side, period_us):
+    config = ScenarioConfig(protocol="token_dcf", n_transmitters=n, area_side=area_side,
+                            duration_s=0.25, runs=1, token=TokenParams(period_us=period_us))
+    trace = []
+    Simulation(config, derive_seed(1, 0), trace=trace).run()
+    return trace
+
+
+@pytest.mark.parametrize("period_us", [1_000, 20_000, 100_000])
+@pytest.mark.parametrize("n, area_side", [(5, 150.0), (20, 150.0), (60, 150.0), (20, 800.0)])
+def test_period_clock_traces_equal_per_scheduler_resets(monkeypatch, n, area_side, period_us):
+    # the resets held one contiguous run of seqs at each period instant, so
+    # one event in that run's place keeps the order of every other event
+    clocked = token_trace(n, area_side, period_us)
+    monkeypatch.setattr(experiments, "start_period_clock", per_scheduler_resets)
+    assert token_trace(n, area_side, period_us) == clocked
+    assert len(clocked) > 500
+
+
+@pytest.mark.parametrize("protocol, n, clocks", [("token_dcf", 20, 1), ("token_dcf", 200, 1),
+                                                 ("dcf", 20, 0)])
+def test_network_schedules_one_reset_event(monkeypatch, protocol, n, clocks):
+    scheduled = []
+    schedule = Simulator.schedule
+    monkeypatch.setattr(Simulator, "schedule",
+                        lambda sim, delay, cb: (scheduled.append(delay), schedule(sim, delay, cb)))
+    positions = [(float(i % 15), float(i // 15)) for i in range(2 * n)]
+    net = Network(positions, [(i, n + i) for i in range(n)],
+                  ScenarioConfig(protocol=protocol), run_seed=1)
+    assert scheduled == [TokenParams().period_us] * clocks
+    net.close()
+
+
 # -- the one-pass step against a per-station oracle -------------------------
 
 class _Oracle:
@@ -258,8 +307,7 @@ STEPS = st.one_of(
        steps=st.lists(STEPS, max_size=120))
 def test_one_pass_step_matches_per_station_oracle(n, max_num, steps):
     params = TokenParams(max_num=max_num)
-    sim = Simulator()
-    scheds = [TokenScheduler(sid, sim, params, substream(1, sid, "sched")) for sid in range(n)]
+    scheds = [TokenScheduler(sid, params, substream(1, sid, "sched")) for sid in range(n)]
     oracles = [_Oracle(sid, params) for sid in range(n)]
     grants, expected = [], []
     for sched in scheds:
