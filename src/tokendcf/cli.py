@@ -4,8 +4,8 @@ import argparse
 import os
 import sys
 
-from .experiments import (ConfigError, load_config, run_scenario, run_sweep,
-                          write_csv)
+from .experiments import (ConfigError, load_config, prepare_out_dir, run_scenario,
+                          run_sweep, write_csv)
 
 
 def _parse_values(text):
@@ -61,7 +61,7 @@ def main(argv=None):
         return 0
 
     try:   # before the first run, so that a bad --out costs no simulation
-        os.makedirs(args.out, exist_ok=True)
+        prepare_out_dir(args.out, sweep=args.command == "sweep")
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2

@@ -6,13 +6,9 @@ arithmetic stays exact.  Event delivery order is the strict total order
 
 Every scheduled event fires exactly once, unless the simulator is closed
 first: there is no cancel, and ``close()`` drops the events still pending,
-which then never fire.  An event that may turn out not to be needed (an ACK
-timeout, which acts only when its ACK is lost) is reserved instead:
-``reserve`` takes the next ``seq`` at once, exactly as ``schedule`` would,
-and ``queue`` later puts the entry in the heap under that ``seq``, or the
-owner never queues it and it never fires.  A queued entry fires where
-``schedule`` at reservation time would have put it, so reserving changes no
-delivery order, and no event fires only to find its work superseded.
+which then never fire.  So an event that may turn out not to be needed (an
+ACK timeout, which acts only when its ACK is lost) is scheduled only once it
+is known to be needed, and no event fires only to find its work superseded.
 
 Beside the event heap the simulator keeps one alarm: a single callback at a
 single time that its owner moves again and again (the medium's contention
@@ -40,10 +36,9 @@ class SimError(Exception):
 class Simulator:
     """Single-threaded event loop over integer-microsecond virtual time.
 
-    ``schedule`` queues a callback that fires once; ``reserve`` and
-    ``queue`` do the same in two steps; ``set_alarm`` (re)sets the one alarm;
-    ``close`` drops the pending events and the alarm, and the loop runs no
-    more.
+    ``schedule`` queues a callback that fires once; ``set_alarm`` (re)sets
+    the one alarm; ``close`` drops the pending events and the alarm, and the
+    loop runs no more.
     """
 
     __slots__ = ("now", "_heap", "_seq", "_alarm", "_closed")
@@ -60,31 +55,6 @@ class Simulator:
             raise SimError(f"negative delay: {delay}")
         heappush(self._heap, (self.now + int(delay), self._seq, callback))
         self._seq += 1
-
-    def reserve(self, delay):
-        """Take the next ``seq`` for an event ``delay`` µs from now; returns (fire_at, seq).
-
-        Nothing is queued: ``queue(reserved, callback)`` queues the entry
-        later, or nobody does and it never fires.
-        """
-        if delay < 0:
-            raise SimError(f"negative delay: {delay}")
-        seq = self._seq
-        self._seq = seq + 1
-        return self.now + int(delay), seq
-
-    def queue(self, reserved, callback):
-        """Queue a ``reserve``d entry under its own (fire_at, seq), once.
-
-        It fires where ``schedule`` at reservation time would have put it.
-        That needs ``fire_at`` still ahead: at ``now`` itself the entry's
-        turn may already have passed, so queuing at or after ``fire_at`` is
-        a SimError.
-        """
-        fire_at, seq = reserved
-        if fire_at <= self.now:
-            raise SimError(f"reserved entry in the past: {fire_at} <= {self.now}")
-        heappush(self._heap, (fire_at, seq, callback))
 
     def set_alarm(self, at, callback):
         """Call ``callback`` at virtual time ``at``, replacing any pending alarm."""

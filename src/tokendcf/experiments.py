@@ -3,6 +3,7 @@
 import configparser
 import csv
 import dataclasses
+import errno
 import io
 import math
 import os
@@ -270,7 +271,8 @@ class Network:
             start_period_clock(self.sim, schedulers, config.token.period_us)
         self.medium.bind(self.stations)
         if use_token:
-            self.medium.on_data = partial(overhear, [st.scheduler for st in self.stations], {})
+            self.medium.on_data = partial(overhear, [st.scheduler for st in self.stations],
+                                          [st.on_grant for st in self.stations], {})
 
     def run(self, horizon_us):
         """Run the event loop to ``horizon_us`` and report the run so far."""
@@ -280,9 +282,9 @@ class Network:
     def close(self):
         """Break the run's reference cycles, so that dropping the network frees it.
 
-        The pending events, the medium's station table and DATA hook, each
-        station's source and each scheduler's ``on_grant`` tie the run's
-        objects into cycles that only a full ``gc`` pass would free.
+        The pending events, the medium's station table and DATA hook (which
+        holds each station's ``on_grant``) and each station's source tie the
+        run's objects into cycles that only a full ``gc`` pass would free.
         Counters, queues, ``metrics`` and the trace stay readable.  The
         pending events are dropped, so a closed network must not be run
         again: ``run`` raises.  Closing twice is harmless.
@@ -368,8 +370,10 @@ def run_sweep(base_config, param, values, out_dir=None):
     """Cartesian product of sweep values and both protocols, in fixed order."""
     if not values:
         raise ConfigError("sweep value list is empty")
-    # every value is checked before the first run
+    # every value, and the output directory, is checked before the first run
     configs = [apply_sweep_value(base_config, param, value) for value in values]
+    if out_dir is not None:
+        prepare_out_dir(out_dir, sweep=True)
     rows = []
     for value, config in zip(values, configs):
         for protocol in PROTOCOLS:
@@ -379,6 +383,22 @@ def run_sweep(base_config, param, values, out_dir=None):
         write_csv(os.path.join(out_dir, "results.csv"), [row for _, row in rows])
         write_plot_data(out_dir, param, rows)
     return [row for _, row in rows]
+
+
+def prepare_out_dir(out_dir, sweep=False):
+    """Make ``out_dir``, or raise OSError where a directory there has an output file's name.
+
+    Callers check it before the first run, so that an unusable output costs no run.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    plots = [_plot_file(m, p) for m in _METRIC_FIELDS for p in PROTOCOLS] if sweep else []
+    for path in (os.path.join(out_dir, name) for name in ["results.csv"] + plots):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
+def _plot_file(metric, protocol):
+    return f"{metric}_{protocol}.dat"
 
 
 CSV_COLUMNS = ("scenario_id", "protocol", "n_tx", "area", "pkt_size", "run") + _METRIC_FIELDS
@@ -411,7 +431,7 @@ def write_plot_data(out_dir, param, value_rows):
     os.makedirs(out_dir, exist_ok=True)
     for metric in _METRIC_FIELDS:
         for protocol in PROTOCOLS:
-            path = os.path.join(out_dir, f"{metric}_{protocol}.dat")
+            path = os.path.join(out_dir, _plot_file(metric, protocol))
             with open(path, "w") as fh:
                 for value, row in value_rows:
                     if row.protocol != protocol:

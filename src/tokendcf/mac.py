@@ -3,16 +3,15 @@
 A station with a traffic source contends for the channel with DIFS + uniform
 backoff in [0, CW], freezes the countdown while the channel is busy, and runs
 the DATA/ACK exchange with binary exponential backoff on ACK timeout.  The
-timeout is reserved when the DATA frame ends and queued only when the ACK is
-lost (``ack_lost``): the DATA frame missed its addressee, the addressee was
-transmitting when its ACK was due (half-duplex), or the ACK missed the
-station.  So every timeout that fires acts, and it fires where one queued at
-the DATA frame's end would have.  When a
-token scheduler is attached, the access plan may collapse to a bare SIFS wait
-(privileged access) and every transmitted/decoded data frame feeds the
-scheduler state: the network's DATA hook on the medium hands each header the
-station decodes to its scheduler, after the addressed ``on_frame``, and the
-token layer calls the station's ``on_grant`` when a decoded frame names it.
+timeout is scheduled, ``ack_timeout_us`` after the DATA frame's end, only
+once the ACK is known to be lost (``ack_lost``): the DATA frame missed its
+addressee, the addressee was transmitting when its ACK was due
+(half-duplex), or the ACK missed the station.  So every timeout acts.  When
+a token scheduler is attached, the access plan may collapse to a bare SIFS
+wait (privileged access), and every data frame sent or decoded feeds the
+scheduler: the network's DATA hook on the medium hands it each decoded
+header, after the addressed ``on_frame``, and calls the station's
+``on_grant`` when a decoded frame names it.
 """
 
 from collections import deque
@@ -35,7 +34,7 @@ class Station:
         "dst", "payload_bytes", "scheduler", "source",
         "queue", "cw", "retries", "phase",
         "pending_slots", "sifs_plan", "registered",
-        "ack_timeout_us", "_ack_wait",
+        "ack_timeout_us", "_ack_due",
         "enqueued", "delivered", "dropped_full", "dropped_retry",
         "data_header_bytes", "data_airtime", "ack_airtime",
     )
@@ -60,7 +59,7 @@ class Station:
         self.pending_slots = None   # None = fresh draw on next resume
         self.sifs_plan = False
         self.registered = False     # the medium holds its access, counting or frozen
-        self._ack_wait = None       # the reserved ACK timeout while unqueued, else None
+        self._ack_due = None        # when the pending ACK timeout is due, while unscheduled
         self.enqueued = 0
         self.delivered = 0
         self.dropped_full = 0
@@ -72,14 +71,11 @@ class Station:
         self.ack_airtime = frame_airtime(mac.ack_header_bytes, 0, self.phy)
         self.ack_timeout_us = self.phy.sifs + self.ack_airtime + mac.ack_timeout_guard
         if scheduler is not None:
-            scheduler.on_grant = self.on_grant
             medium.register_listener(sid)
 
     def close(self):
-        """Break the cycles through this station's source and its scheduler's ``on_grant``."""
+        """Break the cycle through this station's source."""
         self.source = None
-        if self.scheduler is not None:
-            self.scheduler.close()
 
     # -- queueing ----------------------------------------------------------
 
@@ -165,7 +161,7 @@ class Station:
         """This station's frame left the air; ``delivered``: its addressee decoded it."""
         if frame.kind == DATA:
             self.phase = AWAIT_ACK
-            self._ack_wait = self.sim.reserve(self.ack_timeout_us)
+            self._ack_due = self.sim.now + self.ack_timeout_us
             if not delivered:
                 self.ack_lost()
         elif not delivered:
@@ -173,15 +169,11 @@ class Station:
             self.medium.stations[frame.dst].ack_lost()
 
     def ack_lost(self):
-        """The pending exchange's ACK will not arrive: queue its reserved timeout.
-
-        It is queued at most once per exchange; a call with no timeout
-        reserved does nothing.
-        """
-        reserved = self._ack_wait
-        if reserved is not None:
-            self._ack_wait = None
-            self.sim.queue(reserved, self._ack_timeout)
+        """The pending exchange's ACK will not arrive: schedule its timeout, once per exchange."""
+        due = self._ack_due
+        if due is not None:
+            self._ack_due = None
+            self.sim.schedule(due - self.sim.now, self._ack_timeout)
 
     # -- reception ---------------------------------------------------------
 
@@ -216,7 +208,7 @@ class Station:
         self.medium.begin_transmission(self.sid, frame, self.ack_airtime)
 
     def _ack_received(self):
-        self._ack_wait = None
+        self._ack_due = None
         arrival = self.queue.popleft()
         now = self.sim.now
         self.metrics.delivered_bits += 8 * self.payload_bytes

@@ -6,9 +6,10 @@ picking the longest queue).  Every link runs at one bit rate, so single-hop
 backpressure, which weighs queue length by link rate, picks the same
 station.  The DATA hook ``overhear`` applies each header the medium decodes
 to all the schedulers that decoded it, addressed or overheard, in one pass.
-A frame that names you sets your flag and calls ``on_grant``, which the
-station installs so that the grant reaches an access already planned; a set
-flag turns the next channel access into a bare SIFS wait.  The Adapt step
+A frame that names you sets your flag, and the hook then calls your
+station's grant callback, which the network hands it beside the schedulers,
+so that the grant reaches an access already planned; a set flag turns the
+next channel access into a bare SIFS wait.  The Adapt step
 moves p up or down by delta by how many transmissions came from known stations.
 One event per network, ``start_period_clock``, resets every scheduler's Adapt
 state in ascending id each ``period_us``, then reschedules itself.
@@ -17,16 +18,12 @@ state in ascending id each ``period_us``, then reschedules itself.
 from .medium import members
 
 
-def _no_station():
-    """``on_grant`` of a scheduler no station has installed itself on."""
-
-
 class TokenScheduler:
     """One station's flag, queue table and Adapt state, reset only by the network's period clock."""
 
     __slots__ = (
         "sid", "params", "rng",
-        "p", "active", "success", "fail", "flag", "q_len_map", "on_grant",
+        "p", "active", "success", "fail", "flag", "q_len_map",
     )
 
     def __init__(self, sid, params, rng):
@@ -39,7 +36,6 @@ class TokenScheduler:
         self.active = {sid}
         self.success = 0
         self.fail = 0
-        self.on_grant = _no_station   # called when a decoded data frame names sid
 
     def _period_reset(self):
         self.p = 0.0
@@ -77,10 +73,6 @@ class TokenScheduler:
     def on_timer_expired(self):
         self.flag = 0
 
-    def close(self):
-        """Forget the installed ``on_grant``, the link back to the station."""
-        self.on_grant = _no_station
-
 
 def start_period_clock(sim, schedulers, period_us):
     """Reset ``schedulers``, in list order, every ``period_us`` from now: one event at a time."""
@@ -91,15 +83,15 @@ def start_period_clock(sim, schedulers, period_us):
     sim.schedule(period_us, reset_all)
 
 
-def overhear(schedulers, by_mask, frame, listened):
-    """The medium's DATA hook: ``schedulers`` by id, cached in ``by_mask`` per ``listened`` mask."""
+def overhear(schedulers, grants, by_mask, frame, listened):
+    """The medium's DATA hook: ``schedulers`` and grant callbacks by id, listeners cached per mask."""
     listeners = by_mask.get(listened)
     if listeners is None:   # a run meets few distinct masks
         listeners = by_mask[listened] = tuple(map(schedulers.__getitem__, members(listened)))
     privileged = frame.privileged
     apply_header(listeners, frame.src, privileged, frame.q_len)
     if privileged is not None and listened >> privileged & 1:
-        schedulers[privileged].on_grant()
+        grants[privileged]()
 
 
 def apply_header(schedulers, src, privileged, q_len):

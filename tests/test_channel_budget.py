@@ -1,4 +1,4 @@
-"""The channel-time budget of a clique, read from the medium's trace.
+"""The channel-time budget of a clique at n = 5-30, read from the medium's trace.
 
 In a clique every station senses every frame, so each µs of the horizon
 falls in exactly one of five parts: a busy period that holds one DATA frame
@@ -51,8 +51,30 @@ def channel_budget(trace, horizon, sifs):
     return parts
 
 
-def clique_budget(protocol):
-    config = ScenarioConfig(protocol=protocol, n_transmitters=20, area_side=150.0,
+def open_exchanges(trace, sifs):
+    """End instants of DATA frames their addressee decoded whose ACK never ended.
+
+    The ACK of such a frame is still on air at the horizon, or not yet sent,
+    so no station counts the frame among its deliveries.
+    """
+    on_air = {}
+    acked = set()     # (start, src) of every ACK that ended
+    decoded = []      # (end, addressee) of every DATA frame its addressee decoded
+    for rec in trace:
+        if rec[1] == "tx":
+            on_air[rec[2]] = rec
+        else:
+            t, _end, src, kind, delivered, _corrupted = rec
+            start, _tx, _src, _kind, _end_at, dst = on_air.pop(src)
+            if kind == ACK:
+                acked.add((start, src))
+            elif delivered >> dst & 1:
+                decoded.append((t, dst))
+    return [t for t, dst in decoded if (t + sifs, dst) not in acked]
+
+
+def clique_budget(protocol, n):
+    config = ScenarioConfig(protocol=protocol, n_transmitters=n, area_side=150.0,
                             duration_s=2.0, runs=1, seed=1,
                             traffic=TrafficSpec(kind="full_buffer", packet_size=PAYLOAD))
     trace = []
@@ -60,38 +82,55 @@ def clique_budget(protocol):
     report = sim.run()
     horizon = config.horizon_us
     parts = channel_budget(trace, horizon, config.phy.sifs)
-    return parts, report, horizon, sim.stations[0].data_airtime
+    station = sim.stations[0]
+    still_open = open_exchanges(trace, config.phy.sifs)
+    # each one's ACK could not end by the horizon
+    assert all(t + config.phy.sifs + station.ack_airtime > horizon for t in still_open)
+    return parts, report, horizon, station.data_airtime, len(still_open)
+
+
+STATION_COUNTS = (5, 10, 20, 30)
 
 
 @pytest.fixture(scope="module")
 def budgets():
-    return {protocol: clique_budget(protocol) for protocol in ("dcf", "token_dcf")}
+    """(n, protocol) -> the budget of one 2 s run; each test checks every n."""
+    return {(n, protocol): clique_budget(protocol, n)
+            for n in STATION_COUNTS for protocol in ("dcf", "token_dcf")}
 
 
 @pytest.mark.parametrize("protocol", ["dcf", "token_dcf"])
 def test_budget_parts_partition_the_horizon(budgets, protocol):
-    parts, report, horizon, _airtime = budgets[protocol]
-    assert all(type(us) is int and us >= 0 for us in parts.values())
-    assert sum(parts.values()) == horizon
-    # the busy parts cover the medium's busy time, up to a period cut at the horizon
-    busy = parts["delivered"] + parts["collided"] + parts["ack"]
-    assert report.busy_time_us <= busy <= report.busy_time_us + 1_000
+    for n in STATION_COUNTS:
+        parts, report, horizon, _airtime, _open = budgets[n, protocol]
+        assert all(type(us) is int and us >= 0 for us in parts.values()), n
+        assert sum(parts.values()) == horizon, n
+        # the busy parts cover the medium's busy time, up to a period cut at the horizon
+        busy = parts["delivered"] + parts["collided"] + parts["ack"]
+        assert report.busy_time_us <= busy <= report.busy_time_us + 1_000, n
 
 
 @pytest.mark.parametrize("protocol", ["dcf", "token_dcf"])
 def test_throughput_is_the_delivered_share_at_the_payload_rate(budgets, protocol):
-    # every delivered DATA frame is one 96 µs busy period of 500 B
-    parts, report, horizon, airtime = budgets[protocol]
-    assert airtime == 96
-    assert parts["delivered"] == report.delivered_packets * airtime
-    share = parts["delivered"] / horizon
-    assert report.throughput_bps == pytest.approx(share * PAYLOAD * 8 / (airtime * 1e-6),
-                                                  rel=1e-12)
+    # every delivered DATA frame is one 96 µs busy period of 500 B; a frame
+    # decoded just before the horizon, whose ACK could not end, is in the
+    # delivered part but in no station's deliveries (measured: one at n = 5
+    # under DCF and one at n = 30 under Token-DCF)
+    for n in STATION_COUNTS:
+        parts, report, horizon, airtime, still_open = budgets[n, protocol]
+        assert airtime == 96
+        assert parts["delivered"] == (report.delivered_packets + still_open) * airtime, n
+        share = (parts["delivered"] - still_open * airtime) / horizon
+        assert report.throughput_bps == pytest.approx(share * PAYLOAD * 8 / (airtime * 1e-6),
+                                                      rel=1e-12), n
 
 
 def test_token_dcf_collides_and_idles_less_than_dcf(budgets):
-    # the abstract's two overheads; measured at n = 20: collided DATA 0.068
-    # (token) vs 0.168 (DCF), DIFS + backoff gaps 0.107 vs 0.277
-    dcf, token = budgets["dcf"][0], budgets["token_dcf"][0]
-    assert token["collided"] < dcf["collided"]
-    assert token["backoff_gap"] < dcf["backoff_gap"]
+    # the abstract's two overheads; measured shares of the horizon, token vs
+    # DCF, at n = 5 / 10 / 20 / 30: collided DATA 0.024 vs 0.074, 0.040 vs
+    # 0.119, 0.068 vs 0.168, 0.087 vs 0.196; DIFS + backoff gaps 0.094 vs
+    # 0.312, 0.096 vs 0.290, 0.107 vs 0.277, 0.116 vs 0.271
+    for n in STATION_COUNTS:
+        dcf, token = budgets[n, "dcf"][0], budgets[n, "token_dcf"][0]
+        assert token["collided"] < dcf["collided"], n
+        assert token["backoff_gap"] < dcf["backoff_gap"], n

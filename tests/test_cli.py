@@ -72,19 +72,22 @@ def test_run_writes_results_csv(config_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "n_transmitters",
                                                  "--values", "2,3"]])
-@pytest.mark.parametrize("out", ["afile", "afile/x"])
+@pytest.mark.parametrize("out", ["afile", "afile/x", "d"])
 def test_unusable_out_fails_before_any_run(config_file, tmp_path, capsys, monkeypatch,
                                            command, out):
     # a file where the output directory should be, or above it, used to
-    # raise FileExistsError / NotADirectoryError after the whole scenario ran
+    # raise FileExistsError / NotADirectoryError after the whole scenario
+    # ran, and a directory named results.csv in it an IsADirectoryError
     (tmp_path / "afile").write_text("")
+    (tmp_path / "d" / "results.csv").mkdir(parents=True)
     runs = []
     monkeypatch.setattr(experiments, "simulate_run", lambda *args: runs.append(args))
     argv = [command[0], "--config", config_file, "--out", str(tmp_path / out)] + command[1:]
     assert main(argv) == 2
     assert runs == []
     err = capsys.readouterr().err
-    assert err.startswith("output error: ") and "afile" in err
+    assert err.startswith("output error: ")
+    assert ("results.csv" if out == "d" else "afile") in err
 
 
 def test_sweep_writes_csv_and_plot_data(config_file, tmp_path):

@@ -4,7 +4,7 @@ import random
 import weakref
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokendcf import (MacParams, Simulator, derive_seed, draw_pareto, pareto_scale,
@@ -159,119 +159,6 @@ def test_alarm_in_the_past_rejected():
     sim.run_until(20)
     with pytest.raises(SimError):
         sim.set_alarm(19, lambda: None)
-
-
-# -- reserved entries ---------------------------------------------------------
-
-def test_reserved_entry_fires_in_its_reserved_turn():
-    sim = Simulator()
-    order = []
-    sim.schedule(10, lambda: order.append("before"))
-    reserved = sim.reserve(10)
-    sim.set_alarm(10, lambda: order.append("alarm"))
-    sim.schedule(10, lambda: order.append("after"))
-    assert reserved == (10, 1)
-    sim.run_until(5)
-    sim.queue(reserved, lambda: order.append("reserved"))
-    assert sim.run_until(10) == 4
-    assert order == ["before", "reserved", "alarm", "after"]
-
-
-def test_reservation_never_queued_never_fires():
-    sim = Simulator()
-    seen = []
-    sim.reserve(5)
-    sim.schedule(5, lambda: seen.append(sim.now))
-    assert sim.run_until(100) == 1
-    assert seen == [5]
-
-
-@pytest.mark.parametrize("delay, at", [(10, 10), (10, 11), (0, 0)])
-def test_queuing_a_reservation_at_or_after_its_instant_rejected(delay, at):
-    # at its own instant its turn may already have passed
-    sim = Simulator()
-    reserved = sim.reserve(delay)
-    sim.run_until(at)
-    with pytest.raises(SimError):
-        sim.queue(reserved, lambda: None)
-    assert sim.run_until(at + 50) == 0
-
-
-def test_reserve_negative_delay_rejected():
-    with pytest.raises(SimError):
-        Simulator().reserve(-1)
-
-
-_ENGINE_OPS = st.lists(st.one_of(
-    st.tuples(st.just("schedule"), st.integers(0, 30)),
-    st.tuples(st.just("reserve"), st.integers(0, 30)),
-    st.tuples(st.just("queue"), st.integers(0, 40)),
-    st.tuples(st.just("queue_in_event"), st.integers(0, 30), st.integers(0, 40)),
-    st.tuples(st.just("alarm"), st.integers(0, 30)),
-    st.tuples(st.just("advance"), st.integers(0, 12)),
-), max_size=40)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_ENGINE_OPS)
-@example([("reserve", 5), ("schedule", 5), ("alarm", 5), ("advance", 2), ("queue", 0)])
-@example([("reserve", 5), ("queue_in_event", 4, 0), ("schedule", 5), ("alarm", 5)])
-@example([("reserve", 5), ("queue_in_event", 5, 0), ("schedule", 5)])
-@example([("reserve", 3), ("advance", 3), ("queue", 0), ("schedule", 0)])
-def test_reserved_entries_fire_where_schedule_would_have_put_them(ops):
-    # ("queue", k) queues reservation k mod the number made so far, from
-    # outside the loop; ("queue_in_event", d, k) does it from an event d us
-    # ahead.  A reservation queued before its instant must fire where
-    # ``schedule`` at reservation time puts it, among heap events and alarm
-    # moves; queued at or after its instant it raises SimError; never
-    # queued, it never fires.
-    def play(queued_ok=None):
-        """The real run when ``queued_ok`` is None, else the schedule-at-reservation one."""
-        sim = Simulator()
-        log = []
-        reserved = []
-        queued = set()
-
-        def fire(label):
-            return lambda: log.append((sim.now, label))
-
-        def try_queue(k):
-            if not reserved or queued_ok is not None:
-                return
-            i = k % len(reserved)
-            if i in queued:
-                return
-            if reserved[i][0] <= sim.now:
-                with pytest.raises(SimError):
-                    sim.queue(reserved[i], fire(("r", i)))
-            else:
-                sim.queue(reserved[i], fire(("r", i)))
-                queued.add(i)
-
-        for n, (kind, x, *rest) in enumerate(ops):
-            if kind == "schedule":
-                sim.schedule(x, fire(n))
-            elif kind == "reserve":
-                if queued_ok is None:
-                    reserved.append(sim.reserve(x))
-                else:
-                    i = len(reserved)
-                    reserved.append(None)
-                    sim.schedule(x, fire(("r", i)) if i in queued_ok else (lambda: None))
-            elif kind == "queue":
-                try_queue(x)
-            elif kind == "queue_in_event":
-                sim.schedule(x, lambda n=n, k=rest[0]: (log.append((sim.now, n)), try_queue(k)))
-            elif kind == "alarm":
-                sim.set_alarm(sim.now + x, fire(n))
-            else:
-                sim.run_until(sim.now + x)
-        sim.run_until(sim.now + 100)
-        return log, queued
-
-    log, queued = play()
-    assert play(queued)[0] == log
-    assert {label[1] for _t, label in log if isinstance(label, tuple)} == queued
 
 
 # -- closing ----------------------------------------------------------------

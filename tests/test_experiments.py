@@ -13,8 +13,8 @@ import pytest
 
 from tokendcf import (DATA, ConfigError, FullBufferSource, MacParams, Metrics, Network,
                       PhyParams, ScenarioConfig, Simulation, TokenParams, TrafficSpec,
-                      derive_seed, generate_topology, parse_config, run_scenario, run_sweep,
-                      simulate_run)
+                      derive_seed, experiments, generate_topology, parse_config, run_scenario,
+                      run_sweep, simulate_run)
 from tokendcf.core import SimError
 from tokendcf.experiments import apply_sweep_value, write_csv
 
@@ -377,6 +377,24 @@ def test_sweep_rows_cover_values_times_protocols(tmp_path):
             lines = path.read_text().strip().splitlines()
             assert len(lines) == 2
             assert all(len(line.split()) == 2 for line in lines)
+
+
+@pytest.mark.parametrize("blocked", ["afile/x", "results.csv", "drops_token_dcf.dat"])
+def test_sweep_checks_its_outputs_before_the_first_run(tmp_path, monkeypatch, blocked):
+    # a file above out_dir used to raise NotADirectoryError only after every run
+    (tmp_path / "afile").write_text("")
+    if blocked == "afile/x":
+        out_dir = tmp_path / "afile" / "x"
+    else:
+        out_dir = tmp_path / "out"
+        (out_dir / blocked).mkdir(parents=True)   # a directory where a file goes
+    runs = []
+    monkeypatch.setattr(experiments, "simulate_run",
+                        lambda *args: (runs.append(args), simulate_run(*args))[1])
+    with pytest.raises(OSError):
+        run_sweep(short_config(runs=1, duration_s=0.05), "n_transmitters", [2, 3],
+                  out_dir=str(out_dir))
+    assert runs == []
 
 
 def test_empty_sweep_rejected():

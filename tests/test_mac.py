@@ -1,5 +1,6 @@
 """DCF station behavior: queueing, backoff bookkeeping, retries, ACK timing."""
 
+import bisect
 import collections
 import contextlib
 
@@ -305,8 +306,8 @@ def test_ack_resets_cw_to_min():
 
 
 def test_delivered_ack_queues_no_timeout_for_any_guard():
-    # every ACK of a lone flow arrives, so no timeout is ever queued and the
-    # guard, which only sets when a queued one would fire, changes nothing
+    # every ACK of a lone flow arrives, so no timeout is ever scheduled and the
+    # guard, which only sets when a scheduled one would fire, changes nothing
     def trace(guard):
         net = single_flow(mac=MacParams(ack_timeout_guard=guard), trace=True)
         net.saturate().run(20_000)
@@ -320,20 +321,22 @@ def test_delivered_ack_queues_no_timeout_for_any_guard():
 
 # -- every lost ACK times out, and only a lost one ---------------------------
 #
-# A timeout is queued on three paths: the DATA frame missed its addressee,
-# the addressee was transmitting when its ACK was due, or the ACK missed the
-# station awaiting it.  Each path leaves the sender waiting forever if it is
-# missed, so per station every DATA attempt ends in an ACK or a timeout, bar
-# one exchange still open at the horizon.
+# A timeout is scheduled on three paths: the DATA frame missed its
+# addressee, the addressee was transmitting when its ACK was due, or the ACK
+# missed the station awaiting it.  Each path leaves the sender waiting
+# forever if it is missed, so per station every DATA attempt ends in an ACK
+# or a timeout, bar one exchange still open at the horizon.  The path is
+# known at the DATA frame's end, SIFS later or when the ACK ends, and on
+# each the timeout fires ``ack_timeout_us`` after the DATA frame's end.
 
 @contextlib.contextmanager
 def counted_timeouts():
-    """sid -> ACK timeouts fired, while the block runs."""
-    fired = collections.Counter()
+    """sid -> the instants of its ACK timeouts fired, while the block runs."""
+    fired = collections.defaultdict(list)
     original = Station._ack_timeout
 
     def counted(self):
-        fired[self.sid] += 1
+        fired[self.sid].append(self.sim.now)
         original(self)
 
     Station._ack_timeout = counted
@@ -344,11 +347,14 @@ def counted_timeouts():
 
 
 def check_ack_accounting(stations, metrics, trace, horizon, fired):
-    assert sum(fired.values()) == metrics.tx_failures
+    assert sum(map(len, fired.values())) == metrics.tx_failures
     for st in stations:
         # (t, "tx", src, kind, end, dst) records of its DATA frames
         ends = [rec[4] for rec in trace if rec[1] == "tx" and rec[2] == st.sid and rec[3] == DATA]
-        still_open = len(ends) - st.delivered - fired[st.sid]
+        for at in fired[st.sid]:
+            # due ack_timeout_us after the end of its latest DATA frame
+            assert at == ends[bisect.bisect_left(ends, at) - 1] + st.ack_timeout_us, (st.sid, at)
+        still_open = len(ends) - st.delivered - len(fired[st.sid])
         assert still_open in (0, 1), st.sid
         if still_open:
             # neither its ACK nor its timeout was due by the horizon

@@ -24,9 +24,10 @@ def data(src, dst=99, privileged=None, q_len=0):
                     privileged=privileged, q_len=q_len)
 
 
-def receive(sched, frame):
+def receive(sched, frame, on_grant=lambda: None):
     """Hand ``frame`` to ``sched`` through the DATA hook, as its only listener."""
-    overhear([None] * sched.sid + [sched], {}, frame, 1 << sched.sid)
+    pad = [None] * sched.sid
+    overhear(pad + [sched], pad + [on_grant], {}, frame, 1 << sched.sid)
 
 
 def adapt(sched, src):
@@ -86,8 +87,7 @@ def test_self_grant_sets_flag():
 def test_overheard_grant_to_me_sets_flag():
     _, sched = make_sched(sid=3)
     grants = []
-    sched.on_grant = lambda: grants.append(sched.sid)
-    receive(sched, data(7, privileged=3, q_len=20))
+    receive(sched, data(7, privileged=3, q_len=20), lambda: grants.append(sched.sid))
     assert sched.flag == 1
     assert grants == [3]
     assert sched.q_len_map[7] == 20
@@ -310,8 +310,7 @@ def test_one_pass_step_matches_per_station_oracle(n, max_num, steps):
     scheds = [TokenScheduler(sid, params, substream(1, sid, "sched")) for sid in range(n)]
     oracles = [_Oracle(sid, params) for sid in range(n)]
     grants, expected = [], []
-    for sched in scheds:
-        sched.on_grant = lambda sid=sched.sid: grants.append(sid)
+    on_grant = [lambda sid=sid: grants.append(sid) for sid in range(n)]
     hook_cache = {}
     for step in steps:
         kind, sid = step[0], step[1] % n
@@ -319,8 +318,8 @@ def test_one_pass_step_matches_per_station_oracle(n, max_num, steps):
             _, src, privileged, q_len, mask = step
             listened = mask & ((1 << n) - 1) & ~(1 << src)   # a sender never hears itself
             if listened:
-                overhear(scheds, hook_cache, data(src, privileged=privileged, q_len=q_len),
-                         listened)
+                overhear(scheds, on_grant, hook_cache,
+                         data(src, privileged=privileged, q_len=q_len), listened)
             for oracle in oracles:
                 if listened >> oracle.sid & 1:
                     oracle.receive(src, privileged, q_len, expected)
