@@ -282,9 +282,9 @@ class Network:
     def close(self):
         """Break the run's reference cycles, so that dropping the network frees it.
 
-        The pending events, the medium's station table and DATA hook (which
-        holds each station's ``on_grant``) and each station's source tie the
-        run's objects into cycles that only a full ``gc`` pass would free.
+        The pending events, the medium's station table, DATA hook (holding each
+        station's ``on_grant``) and frame-end events, and each station's source
+        and ACK events tie the run's objects into cycles only a ``gc`` pass frees.
         Counters, queues, ``metrics`` and the trace stay readable.  The
         pending events are dropped, so a closed network must not be run
         again: ``run`` raises.  Closing twice is harmless.

@@ -12,6 +12,10 @@ wait (privileged access), and every data frame sent or decoded feeds the
 scheduler: the network's DATA hook on the medium hands it each decoded
 header, after the addressed ``on_frame``, and calls the station's
 ``on_grant`` when a decoded frame names it.
+
+A station has at most one frame on the air, so it reuses its frames, built at
+first use: one DATA frame, whose scheduling fields the token layer rewrites at
+each transmission, and per peer one ACK frame in a pre-bound ``_send_ack`` event.
 """
 
 from collections import deque
@@ -34,7 +38,7 @@ class Station:
         "dst", "payload_bytes", "scheduler", "source",
         "queue", "cw", "retries", "phase",
         "pending_slots", "sifs_plan", "registered",
-        "ack_timeout_us", "_ack_due",
+        "ack_timeout_us", "_ack_due", "_data", "_acks",
         "enqueued", "delivered", "dropped_full", "dropped_retry",
         "data_header_bytes", "data_airtime", "ack_airtime",
     )
@@ -60,6 +64,8 @@ class Station:
         self.sifs_plan = False
         self.registered = False     # the medium holds its access, counting or frozen
         self._ack_due = None        # when the pending ACK timeout is due, while unscheduled
+        self._data = None           # the DATA frame, reused for every transmission
+        self._acks = None           # peer -> its ACK event, partial(_send_ack, ACK frame)
         self.enqueued = 0
         self.delivered = 0
         self.dropped_full = 0
@@ -74,8 +80,9 @@ class Station:
             medium.register_listener(sid)
 
     def close(self):
-        """Break the cycle through this station's source."""
+        """Break the cycles through this station's source and its ACK events, which hold it."""
         self.source = None
+        self._acks = None
 
     # -- queueing ----------------------------------------------------------
 
@@ -150,7 +157,9 @@ class Station:
         self._transmit_data()
 
     def _transmit_data(self):
-        frame = MacFrame(DATA, self.sid, self.dst, self.payload_bytes)
+        frame = self._data
+        if frame is None:
+            frame = self._data = MacFrame(DATA, self.sid, self.dst, self.payload_bytes)
         if self.scheduler is not None:
             self.scheduler.on_transmit_data(frame, len(self.queue))
         self.metrics.tx_attempts += 1
@@ -188,7 +197,13 @@ class Station:
                 self._ack_received()
             return
         if frame.dst == self.sid:
-            self.sim.schedule(self.phy.sifs, partial(self._send_ack, frame.src))
+            acks = self._acks or {}
+            send = acks.get(frame.src)
+            if send is None:
+                send = acks[frame.src] = partial(
+                    self._send_ack, MacFrame(ACK, self.sid, frame.src))
+                self._acks = acks
+            self.sim.schedule(self.phy.sifs, send)
 
     def on_grant(self):
         """A decoded data frame, addressed or overheard, named this station privileged."""
@@ -198,14 +213,13 @@ class Station:
             self.medium.withdraw_access(self.sid)
             self.registered = False
 
-    def _send_ack(self, dst):
+    def _send_ack(self, ack):
         # ``phase`` tracks the station's own data and is left alone here: a
         # station that sends and receives may be waiting or awaiting its ACK
         if self.medium.is_transmitting(self.sid):   # half-duplex guard
-            self.medium.stations[dst].ack_lost()
+            self.medium.stations[ack.dst].ack_lost()
             return
-        frame = MacFrame(ACK, self.sid, dst)
-        self.medium.begin_transmission(self.sid, frame, self.ack_airtime)
+        self.medium.begin_transmission(self.sid, ack, self.ack_airtime)
 
     def _ack_received(self):
         self._ack_due = None

@@ -22,7 +22,10 @@ receivers are worked out once when the frame ends: the decoders are
 and, for DATA, to the hook with the listeners among them (an AND with the
 listener mask).  The trace's ``end`` record holds the delivered and the
 corrupted receivers as masks too, so a frame that collides in a clique costs
-one AND there instead of a tuple of every station it spoiled.
+one AND there instead of a tuple of every station it spoiled.  A station has
+at most one frame on the air, so the medium keeps one on-air record per
+station, built at its first frame, and reuses it for each frame after: a
+frame costs neither a record nor a frame-end event object.
 
 The medium also runs the contention clock for the MAC layers, kept per
 carrier-sense group: the contending stations that share one cs_mask.  They
@@ -171,14 +174,18 @@ def members(mask):
 
 
 class ActiveTransmission:
-    __slots__ = ("src", "frame", "end", "spoil")
+    """A station's on-air record, reused for each of its frames.
 
-    def __init__(self, src, frame, end):
+    ``begin_transmission`` resets ``frame``, ``end`` and ``spoil`` (the OR
+    of the cs_masks of overlapping sources: the receivers in it are
+    spoiled) and schedules ``finish``, the frame-end event bound to it.
+    """
+
+    __slots__ = ("src", "frame", "end", "spoil", "finish")
+
+    def __init__(self, src, finish):
         self.src = src
-        self.frame = frame
-        self.end = end
-        # OR of the cs_masks of overlapping sources: the receivers in it are spoiled
-        self.spoil = 0
+        self.finish = partial(finish, self)
 
 
 class _Group:
@@ -213,6 +220,7 @@ class Medium:
 
         self.stations = {}       # sid -> station object, bound via bind()
         self._active = {}        # src -> ActiveTransmission
+        self._records = [None] * n   # src -> its ActiveTransmission, built at its first frame
         # stations that take every decoded DATA frame, as bit sid
         self._listen = 0
         self.on_data = None      # their hook, on_data(frame, listened)
@@ -234,9 +242,14 @@ class Medium:
             self.stations[st.sid] = st
 
     def close(self):
-        """Unbind the stations and the DATA hook: the links back to the objects that hold it."""
+        """Break the cycles: unbind the stations and the DATA hook, drop the frame-end events.
+
+        The stations and the hook hold the medium; a record's ``finish`` holds the record.
+        """
         self.stations = {}
         self.on_data = None
+        for tx in filter(None, self._records):
+            tx.finish = None
 
     def subscribe(self, sid):
         """Put a contending station into the carrier-sense group of its cs_mask.
@@ -409,21 +422,29 @@ class Medium:
     # -- transmissions -----------------------------------------------------
 
     def begin_transmission(self, src, frame, airtime):
+        """Put ``frame`` on the air from ``src`` for ``airtime`` µs.
+
+        Returns ``src``'s on-air record, which is reused for its next frame.
+        """
         if src in self._active:
             raise MediumError(f"station {src} is already transmitting")
         if airtime <= 0:
             raise MediumError("airtime must be positive")
         now = self.sim.now
-        tx = ActiveTransmission(src, frame, now + airtime)
+        tx = self._records[src]
+        if tx is None:
+            tx = self._records[src] = ActiveTransmission(src, self._finish)
+        tx.frame = frame
+        tx.end = now + airtime
+        spoil = 0
         if self._active:
             cs_mask = self.cs_mask
             my_cs = cs_mask[src]
-            spoil = 0
             for other in self._active.values():
                 if other.end > now:
                     spoil |= cs_mask[other.src]
                     other.spoil |= my_cs
-            tx.spoil = spoil
+        tx.spoil = spoil
 
         # channel-wide idle gap: logged per access that begins a busy period
         if not self._active:
@@ -443,7 +464,7 @@ class Medium:
                 if group.heap or group.solo:
                     self._freeze(group, now)
 
-        self.sim.schedule(airtime, partial(self._finish, tx))
+        self.sim.schedule(airtime, tx.finish)
         if self.trace is not None:
             self.trace.append((now, "tx", src, frame.kind, tx.end, frame.dst))
         return tx

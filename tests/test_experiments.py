@@ -18,6 +18,8 @@ from tokendcf import (DATA, ConfigError, FullBufferSource, MacParams, Metrics, N
 from tokendcf.core import SimError
 from tokendcf.experiments import apply_sweep_value, write_csv
 
+from conftest import Network as PlacedNetwork
+
 
 def short_config(**kwargs):
     defaults = dict(n_transmitters=3, duration_s=0.2, runs=2, seed=5)
@@ -315,6 +317,31 @@ def test_close_keeps_the_results_and_frees_the_network():
         del net
         assert [ref() for ref in alive] == [None, None]
     assert trace == records
+
+
+@pytest.mark.parametrize("protocol", ["dcf", "token_dcf"])
+@pytest.mark.parametrize("pending", ["data_on_air", "ack_owed"])
+def test_close_with_work_in_flight_leaves_no_cyclic_garbage(protocol, pending):
+    # the horizon falls while a DATA frame is on the air, or inside the SIFS
+    # before an owed ACK: its on-air record and the ACK event are still live
+    reference = PlacedNetwork(THREE, [(0, 1), (2, 1)], protocol=protocol, trace=True).saturate()
+    reference.run(100_000)
+    reference.close()
+    trace = reference.trace
+    sifs = PhyParams().sifs
+    acks = {(t, src) for t, what, src, kind, *_ in trace if what == "tx" and kind != DATA}
+    start, src, end = next((t, src, end) for t, what, src, kind, end, dst in trace[20:]
+                           if what == "tx" and kind == DATA and (end + sifs, dst) in acks)
+    horizon = start + 1 if pending == "data_on_air" else end + 1
+    with gc_off():
+        net = PlacedNetwork(THREE, [(0, 1), (2, 1)], protocol=protocol).saturate()
+        net.run(horizon)
+        assert net.medium.is_transmitting(src) == (pending == "data_on_air")
+        net.close()
+        alive = weakref.ref(net), weakref.ref(net.medium)
+        del net
+        assert [ref() for ref in alive] == [None, None]
+        assert gc.collect() == 0
 
 
 # -- hand-placed networks ---------------------------------------------------

@@ -549,6 +549,22 @@ def test_source_does_not_receive_own_frame():
     assert [t for t, kind, _ in recorders[0].events if kind == "tx_complete"] == [96, 196]
 
 
+def test_reused_record_starts_each_frame_clean():
+    # 0 -> 1 overlaps 2's frame and is corrupted at 1; 0's next frame goes
+    # out alone on the same on-air record and must not inherit that spoil
+    sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)])
+    first, second = data(0, 1), data(0, 1)
+    records = [medium.begin_transmission(0, first, 96)]
+    sim.schedule(10, lambda: medium.begin_transmission(2, data(2, 2), 96))
+    sim.schedule(200, lambda: records.append(medium.begin_transmission(0, second, 96)))
+    sim.run_until(400)
+    assert records[1] is records[0]
+    assert frames_at(recorders[1]) == [second]
+    assert [(start, corrupted, delivered)
+            for src, start, _end, _kind, corrupted, delivered in finished_frames(medium.trace)
+            if src == 0] == [(0, (1, 2), ()), (200, (), (1,))]
+
+
 def tx_completes(recorder):
     """(time, frame, delivered) of each ``on_tx_complete`` a recorder station got."""
     return [(t, *info) for t, kind, info in recorder.events if kind == "tx_complete"]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokendcf import (DATA, ConfigError, MacFrame, Network, ScenarioConfig, Simulation,
-                      Simulator, TokenParams, TokenScheduler, derive_seed, experiments,
+                      Simulator, Station, TokenParams, TokenScheduler, derive_seed, experiments,
                       substream)
 from tokendcf.token import apply_header, overhear, start_period_clock
 
@@ -234,6 +234,54 @@ def test_network_schedules_one_reset_event(monkeypatch, protocol, n, clocks):
                   ScenarioConfig(protocol=protocol), run_seed=1)
     assert scheduled == [TokenParams().period_us] * clocks
     net.close()
+
+
+@pytest.mark.parametrize("protocol", ["dcf", "token_dcf"])
+def test_reused_data_frame_carries_its_own_header(monkeypatch, protocol):
+    # each source sends every DATA frame on one reused object, so the header
+    # a frame ends with must be the one written at its own transmission
+    written, ended, read = {}, {}, []
+    on_transmit_data = TokenScheduler.on_transmit_data
+
+    def write(sched, frame, own_queue_len):
+        on_transmit_data(sched, frame, own_queue_len)
+        written.setdefault(frame.src, []).append((frame, frame.privileged, frame.q_len))
+
+    def end(st, frame, delivered):
+        if frame.kind == DATA:
+            ended.setdefault(frame.src, []).append((frame, frame.privileged, frame.q_len))
+        on_tx_complete(st, frame, delivered)
+
+    on_tx_complete = Station.on_tx_complete
+    monkeypatch.setattr(TokenScheduler, "on_transmit_data", write)
+    monkeypatch.setattr(Station, "on_tx_complete", end)
+    n = 5
+    net = Network([(float(10 * i), 0.0) for i in range(2 * n)],
+                  [(i, n + i) for i in range(n)], ScenarioConfig(protocol=protocol), run_seed=1)
+    if protocol == "token_dcf":
+        hook = net.medium.on_data
+
+        def on_data(frame, listened):
+            read.append((frame.privileged, frame.q_len))
+            assert written[frame.src][-1] == (frame, frame.privileged, frame.q_len)
+            hook(frame, listened)
+
+        net.medium.on_data = on_data
+    for st in net.stations[:n]:
+        st.enqueue_packet(50)   # no refill, so q_len falls frame by frame
+    net.run(100_000)
+    net.close()
+    assert sorted(ended) == list(range(n))
+    for frames in ended.values():
+        assert len(frames) >= 50
+        assert len({id(frame) for frame, _privileged, _q_len in frames}) == 1
+    if protocol == "dcf":
+        assert written == {} and read == []
+        assert all(privileged is None for frames in ended.values() for _, privileged, _ in frames)
+    else:
+        assert ended == written   # every frame ended by the horizon
+        assert len(read) >= n * 50 and len(set(read)) > 20
+        assert any(privileged is not None for privileged, _q_len in read)
 
 
 # -- the one-pass step against a per-station oracle -------------------------
