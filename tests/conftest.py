@@ -2,6 +2,7 @@
 
 from tokendcf import (MacParams, Network as _Network, PhyParams, ScenarioConfig,
                       TokenParams, TrafficSpec)
+from tokendcf.medium import members
 from tokendcf.traffic import FullBufferSource
 
 
@@ -67,11 +68,6 @@ def listen(medium, callbacks):
     medium.on_data = on_data
 
 
-def ids(mask):
-    """The station ids whose bits are set in ``mask``, as an ascending tuple."""
-    return tuple(b for b in range(mask.bit_length()) if mask >> b & 1)
-
-
 def finished_frames(trace):
     """(src, start, end, kind, corrupted, delivered) per "end" record of a trace.
 
@@ -87,6 +83,7 @@ def finished_frames(trace):
         else:
             _t, _end, src, kind, delivered, corrupted = rec
             start, _tx, _src, _kind, end, _dst = aired[src]
-            frames.append((src, start, end, kind, ids(corrupted), ids(delivered)))
+            frames.append((src, start, end, kind, tuple(members(corrupted)),
+                           tuple(members(delivered))))
     return frames
 

@@ -13,7 +13,7 @@ from tokendcf import (ACK, DATA, ConfigError, MacFrame, Medium, Metrics,
                       derive_seed, generate_topology)
 from tokendcf.medium import MediumError, members, neighbor_tables
 
-from conftest import Recorder, finished_frames, ids, listen
+from conftest import Recorder, finished_frames, listen
 
 
 def make_medium(positions, metrics=None):
@@ -625,7 +625,8 @@ def test_listeners_get_one_hook_call_with_their_mask():
     recorders[1].on_frame = lambda frame: calls.append(("on_frame", frame))
     for sid in (4, 2, 3):
         medium.register_listener(sid)
-    medium.on_data = lambda frame, listened: calls.append(("on_data", frame, ids(listened)))
+    medium.on_data = lambda frame, listened: calls.append(
+        ("on_data", frame, tuple(members(listened))))
     frame = data(0, 1)
     medium.begin_transmission(0, frame, 96)
     sim.run_until(96)
@@ -639,7 +640,8 @@ def test_addressed_listener_gets_on_frame_then_one_hook_call():
     recorders[1].on_frame = lambda frame: calls.append(("on_frame", 1, frame))
     for sid in (2, 1):
         medium.register_listener(sid)
-    medium.on_data = lambda frame, listened: calls.append(("on_data", ids(listened), frame))
+    medium.on_data = lambda frame, listened: calls.append(
+        ("on_data", tuple(members(listened)), frame))
     frame = data(0, 1)
     medium.begin_transmission(0, frame, 96)
     sim.run_until(96)
