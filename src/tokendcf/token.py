@@ -1,45 +1,41 @@
 """Privilege scheduling layered on DCF: grant selection, overhearing, Adapt.
 
-Every data frame a station sends names at most one privileged station (drawn
-with probability p from the stations whose frames it decoded this period,
-picking the longest queue).  Every link runs at one bit rate, so single-hop
+Each scheduler keeps one table, ``heard``: every source whose DATA header it
+decoded this period (its own transmissions included), to the queue length
+that source last advertised.  Every data frame a station sends names at most
+one privileged station (drawn with probability p from ``heard``, picking
+the longest queue).  Every link runs at one bit rate, so single-hop
 backpressure, which weighs queue length by link rate, picks the same
 station.  The DATA hook ``overhear`` applies each header the medium decodes
 to all the schedulers that decoded it, addressed or overheard, in one pass.
 A frame that names you sets your flag, and the hook then calls your
 station's grant callback, which the network hands it beside the schedulers,
 so that the grant reaches an access already planned; a set flag turns the
-next channel access into a bare SIFS wait.  The Adapt step
-moves p up or down by delta by how many transmissions came from known stations.
-One event per network, ``start_period_clock``, resets every scheduler's Adapt
-state in ascending id each ``period_us``, then reschedules itself.
+next channel access into a bare SIFS wait.  The Adapt step moves p up or
+down by delta by how many transmissions came from sources already in
+``heard``.  One event per network, ``start_period_clock``, resets every
+scheduler in ascending id each ``period_us`` (p and the counts to 0,
+``heard`` to the station alone), then reschedules itself.
 """
 
 from .medium import members
 
 
 class TokenScheduler:
-    """One station's flag, queue table and Adapt state, reset only by the network's period clock."""
+    """One station's flag, Adapt state and ``heard`` table, reset only by the network's period clock."""
 
-    __slots__ = (
-        "sid", "params", "rng",
-        "p", "active", "success", "fail", "flag", "q_len_map",
-    )
+    __slots__ = ("sid", "params", "rng", "flag", "p", "heard", "success", "fail")
 
     def __init__(self, sid, params, rng):
         self.sid = sid
         self.params = params
         self.rng = rng
         self.flag = 0
-        self.q_len_map = {}
-        self.p = 0.0
-        self.active = {sid}
-        self.success = 0
-        self.fail = 0
+        self._period_reset()
 
     def _period_reset(self):
         self.p = 0.0
-        self.active = {self.sid}
+        self.heard = {self.sid: 0}
         self.success = 0
         self.fail = 0
 
@@ -48,15 +44,17 @@ class TokenScheduler:
     def select_privileged(self, own_queue_len):
         """Privileged station for the next transmission, or None.
 
-        With probability p: the argmax over ``active`` of queue length, ties
-        to the lowest station id.  With probability 1-p: no grant.
+        With probability p: the argmax over ``heard`` of queue length, the
+        station's own counted as ``own_queue_len``, ties to the lowest station
+        id.  With probability 1-p: no grant.
         """
         if self.rng.random() >= self.p:
             return None
-        sid, weights = self.sid, self.q_len_map
+        sid = self.sid
         best, best_w = None, -1.0
-        for s in self.active:
-            w = own_queue_len if s == sid else weights[s] if s in weights else 0
+        for s, w in self.heard.items():
+            if s == sid:
+                w = own_queue_len
             if w > best_w or (w == best_w and s < best):
                 best, best_w = s, w
         return best
@@ -95,14 +93,14 @@ def overhear(schedulers, grants, by_mask, frame, listened):
 
 
 def apply_header(schedulers, src, privileged, q_len):
-    """Apply one DATA header to each scheduler: its flag, the Adapt step, its queue table."""
+    """Apply one DATA header to each scheduler: its flag, the Adapt step on ``src``, ``heard[src]``."""
     for s in schedulers:
         s.flag = 1 if s.sid == privileged else 0
-        if src in s.active:
+        heard = s.heard
+        if src in heard:
             s.success += 1
         else:
             s.fail += 1
-            s.active.add(src)
         total = s.success + s.fail
         params = s.params
         if total >= params.max_num:
@@ -114,4 +112,4 @@ def apply_header(schedulers, src, privileged, q_len):
                 if s.p >= params.delta:
                     s.p = max(s.p - params.delta, 0.0)
                 s.success = s.fail = 0
-        s.q_len_map[src] = q_len
+        heard[src] = q_len

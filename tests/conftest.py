@@ -1,4 +1,4 @@
-"""Shared helpers: hand-placed networks and tiny station stubs."""
+"""Shared helpers: hand-placed networks, tiny station stubs and a token scheduler oracle."""
 
 from tokendcf import (MacParams, Network as _Network, PhyParams, ScenarioConfig,
                       TokenParams, TrafficSpec)
@@ -49,6 +49,62 @@ class Recorder:
 
     def fire_access(self):
         self.events.append((self.sim.now, "fire", None))
+
+
+class SchedulerOracle:
+    """Independent transliteration of one token scheduler's rule, one frame at a time.
+
+    ``heard`` maps each source decoded this period to the queue length it
+    last advertised; a reset leaves the station alone in it, at 0.  A
+    decoded header sets the flag when it names the station, runs Adapt on
+    its source, records the source's queue length and grants the station it
+    names; an own transmission sets the flag by its own grant, runs Adapt on
+    the station itself and records its own queue length.
+    """
+
+    def __init__(self, sid, params):
+        self.sid = sid
+        self.params = params
+        self.flag = 0
+        self.reset()
+
+    def reset(self):
+        self.p = 0.0
+        self.heard = {self.sid: 0}
+        self.success = 0
+        self.fail = 0
+
+    def receive(self, src, privileged, q_len, grants):
+        granted = privileged == self.sid
+        self.flag = 1 if granted else 0
+        self.adapt(src)
+        self.heard[src] = q_len
+        if granted:
+            grants.append(self.sid)
+
+    def transmit(self, privileged, q_len):
+        self.flag = 1 if privileged == self.sid else 0
+        self.adapt(self.sid)
+        self.heard[self.sid] = q_len
+
+    def adapt(self, src):
+        if src in self.heard:
+            self.success += 1
+        else:
+            self.fail += 1
+        total = self.success + self.fail
+        if total < self.params.max_num:
+            return
+        ratio = self.success / total
+        if ratio >= self.params.max_ratio:
+            self.p = min(self.p + self.params.delta, self.params.max_p)
+            self.success = 0
+            self.fail = 0
+        if ratio <= self.params.min_ratio:
+            if self.p >= self.params.delta:
+                self.p = max(self.p - self.params.delta, 0.0)
+            self.success = 0
+            self.fail = 0
 
 
 def listen(medium, callbacks):

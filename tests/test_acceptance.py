@@ -10,6 +10,7 @@ import time
 
 from tokendcf import ScenarioConfig, TokenParams, TrafficSpec, run_scenario
 
+from conftest import SchedulerOracle
 from test_properties import (check_collision_replay, check_conservation,
                              check_determinism,
                              check_disabled_grants_match_plain_dcf,
@@ -158,42 +159,6 @@ def test_criterion_08_dcf_analytic_sanity():
                    f"closed form {predicted/1e6:.3f} Mbps (err {err:.4f}, need <= 0.02)")
 
 
-class _AdaptOracle:
-    """Independent transliteration of the grant-probability controller."""
-
-    def __init__(self, sid, params):
-        self.sid = sid
-        self.params = params
-        self.reset()
-
-    def reset(self):
-        self.p = 0.0
-        self.active = {self.sid}
-        self.success = 0
-        self.fail = 0
-
-    def event(self, src):
-        if src in self.active:
-            self.success += 1
-        else:
-            self.fail += 1
-            self.active.add(src)
-        total = self.success + self.fail
-        if total < self.params.max_num:
-            return
-        ratio = self.success / total
-        if ratio >= self.params.max_ratio:
-            if self.p <= self.params.max_p:
-                self.p = min(self.p + self.params.delta, self.params.max_p)
-            self.success = 0
-            self.fail = 0
-        if ratio <= self.params.min_ratio:
-            if self.p >= self.params.delta:
-                self.p = max(self.p - self.params.delta, 0.0)
-            self.success = 0
-            self.fail = 0
-
-
 def test_criterion_09_adapt_controller_oracle():
     from tokendcf import TokenScheduler, substream
     from tokendcf.token import apply_header
@@ -203,10 +168,11 @@ def test_criterion_09_adapt_controller_oracle():
     events = 0
     mismatches = 0
     p_bound_ok = True
+    grants = []   # no header names a station, so none is granted
     while events < 1_000_000:
         sid = rng.randrange(8)
         sched = TokenScheduler(sid, params, substream(events, sid, "sched"))
-        oracle = _AdaptOracle(sid, params)
+        oracle = SchedulerOracle(sid, params)
         pool = rng.randrange(2, 40)
         for _ in range(1000):
             if rng.random() < 0.002:
@@ -214,9 +180,9 @@ def test_criterion_09_adapt_controller_oracle():
                 oracle.reset()
             src = rng.randrange(pool)
             apply_header((sched,), src, None, 0)   # the step every decoded header takes
-            oracle.event(src)
+            oracle.receive(src, None, 0, grants)
             events += 1
-            if (sched.p != oracle.p or sched.active != oracle.active or
+            if (sched.p != oracle.p or sched.heard.keys() != oracle.heard.keys() or
                     sched.success != oracle.success or sched.fail != oracle.fail):
                 mismatches += 1
             if not 0.0 <= sched.p <= params.max_p:

@@ -60,6 +60,13 @@ def noise_at(net, t, airtime, privileged=None):
     net.sim.schedule(t, lambda: net.medium.begin_transmission(4, frame, airtime))
 
 
+def always_grant(net, sid, to):
+    """Seed ``sid``'s scheduler to grant ``to``: p = 1, and ``to`` heard with a 50-frame queue."""
+    sched = net.stations[sid].scheduler
+    sched.p = 1.0
+    sched.heard[to] = 50
+
+
 def first_tx(net, sid):
     return next(t for t, kind, src, *_ in net.trace if kind == "tx" and src == sid)
 
@@ -250,10 +257,7 @@ def test_addressed_grant_to_frozen_backoff():
     # is a bare SIFS wait after that ACK, not the 20 slots
     net = Network([(0.0, 0.0), (100.0, 0.0)], [(0, 1), (1, 0)],
                   protocol="token_dcf", trace=True)
-    sched = net.stations[0].scheduler
-    sched.p = 1.0                  # always grant, to 1's advertised queue
-    sched.active.add(1)
-    sched.q_len_map[1] = 50
+    always_grant(net, 0, 1)
     st0 = join_at(net, 0, 0, 0)
     st1 = join_at(net, 1, 0, 20, 99)
     net.run(2000)
@@ -371,10 +375,7 @@ def half_duplex_loss(guard):
     net = Network([(0.0, 0.0), (100.0, 0.0), (2000.0, 0.0), (2100.0, 0.0)],
                   [(0, 1), (1, 0), (2, 3)], protocol="token_dcf",
                   mac=MacParams(ack_timeout_guard=guard), trace=True)
-    sched = net.stations[0].scheduler
-    sched.p = 1.0                  # always grant, to 1's advertised queue
-    sched.active.add(1)
-    sched.q_len_map[1] = 50
+    always_grant(net, 0, 1)
     st0 = join_at(net, 0, 0, 0, 0)
     join_at(net, 1, 0, 20, 99)
     data_end = 28 + st0.data_airtime

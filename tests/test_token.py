@@ -9,6 +9,8 @@ from tokendcf import (DATA, ConfigError, MacFrame, Network, ScenarioConfig, Simu
                       substream)
 from tokendcf.token import apply_header, overhear, start_period_clock
 
+from conftest import SchedulerOracle
+
 
 def make_sched(sid=0, params=None, seed=1):
     """A simulator and a scheduler that the network's period clock resets on it."""
@@ -43,7 +45,7 @@ def test_no_grant_when_p_zero():
     assert all(sched.select_privileged(10) is None for _ in range(50))
 
 
-def test_singleton_active_grants_self():
+def test_singleton_table_grants_self():
     _, sched = make_sched(sid=4)
     sched.p = 1.0
     assert sched.select_privileged(7) == 4
@@ -52,9 +54,30 @@ def test_singleton_active_grants_self():
 def test_lqf_argmax_with_lowest_id_tie_break():
     _, sched = make_sched(sid=1)
     sched.p = 1.0
-    sched.active = {1, 2, 3}
-    sched.q_len_map = {2: 9, 3: 9}
+    sched.heard = {1: 0, 2: 9, 3: 9}
     assert sched.select_privileged(5) == 2   # 9 ties at 2 and 3; lowest id wins
+
+
+def test_sources_heard_before_a_reset_are_not_granted():
+    sim, sched = make_sched(sid=1)
+    receive(sched, data(5, q_len=100))
+    receive(sched, data(3, q_len=2))
+    sched.p = 1.0
+    assert sched.select_privileged(0) == 5
+    sim.run_until(TokenParams().period_us)   # the period clock resets the table
+    receive(sched, data(3, q_len=2))
+    sched.p = 1.0
+    assert sched.heard == {1: 0, 3: 2}
+    assert sched.select_privileged(0) == 3   # 5's longer queue is a period old
+
+
+def test_tied_queues_grant_the_lowest_id_whatever_the_table_order():
+    _, sched = make_sched(sid=6)
+    for src in (8, 7, 5, 3):
+        receive(sched, data(src, q_len=4))
+    sched.p = 1.0
+    assert list(sched.heard) == [6, 8, 7, 5, 3]
+    assert sched.select_privileged(4) == 3   # 4 ties at 6 (own), 8, 7, 5 and 3
 
 
 def test_unknown_policy_rejected():
@@ -90,8 +113,7 @@ def test_overheard_grant_to_me_sets_flag():
     receive(sched, data(7, privileged=3, q_len=20), lambda: grants.append(sched.sid))
     assert sched.flag == 1
     assert grants == [3]
-    assert sched.q_len_map[7] == 20
-    assert 7 in sched.active
+    assert sched.heard == {3: 0, 7: 20}
 
 
 def test_overheard_grant_to_other_clears_my_flag():
@@ -113,7 +135,7 @@ def test_privilege_is_one_shot():
 def test_adapt_all_known_raises_p_and_resets_counters():
     _, sched = make_sched(sid=0)
     for _ in range(20):
-        adapt(sched, 0)   # 0 is always in active
+        adapt(sched, 0)   # 0 is always in heard
     assert sched.p == pytest.approx(0.1)
     assert (sched.success, sched.fail) == (0, 0)
 
@@ -159,11 +181,11 @@ def test_p_decreases_and_floors_at_zero():
     assert sched.p == pytest.approx(0.0)
 
 
-def test_active_grows_only_with_decoded_sources():
+def test_heard_grows_only_with_decoded_sources():
     _, sched = make_sched(sid=0)
     receive(sched, data(4, q_len=3))
     receive(sched, data(9, q_len=1))
-    assert sched.active == {0, 4, 9}
+    assert sched.heard == {0: 0, 4: 3, 9: 1}
 
 
 # -- periodic reset ---------------------------------------------------------
@@ -171,12 +193,12 @@ def test_active_grows_only_with_decoded_sources():
 def test_period_reset_restores_initial_state():
     sim, sched = make_sched(sid=2)
     sched.p = 0.7
-    sched.active = {2, 5, 6}
+    sched.heard = {2: 3, 5: 1, 6: 8}
     sched.success = 9
     sched.fail = 4
     sim.run_until(100_000)
     assert sched.p == 0.0
-    assert sched.active == {2}
+    assert sched.heard == {2: 0}
     assert (sched.success, sched.fail) == (0, 0)
 
 
@@ -286,61 +308,6 @@ def test_reused_data_frame_carries_its_own_header(monkeypatch, protocol):
 
 # -- the one-pass step against a per-station oracle -------------------------
 
-class _Oracle:
-    """Independent transliteration of one scheduler's rule, one frame at a time.
-
-    A decoded header sets the flag when it names the station, runs Adapt on
-    its source, records the source's queue length and grants the station it
-    names; an own transmission sets the flag by its own grant and runs Adapt
-    on the station itself.
-    """
-
-    def __init__(self, sid, params):
-        self.sid = sid
-        self.params = params
-        self.flag = 0
-        self.q_len_map = {}
-        self.reset()
-
-    def reset(self):
-        self.p = 0.0
-        self.active = {self.sid}
-        self.success = 0
-        self.fail = 0
-
-    def receive(self, src, privileged, q_len, grants):
-        granted = privileged == self.sid
-        self.flag = 1 if granted else 0
-        self.adapt(src)
-        self.q_len_map[src] = q_len
-        if granted:
-            grants.append(self.sid)
-
-    def transmit(self, privileged):
-        self.flag = 1 if privileged == self.sid else 0
-        self.adapt(self.sid)
-
-    def adapt(self, src):
-        if src not in self.active:
-            self.fail += 1
-            self.active.add(src)
-        else:
-            self.success += 1
-        total = self.success + self.fail
-        if total < self.params.max_num:
-            return
-        ratio = self.success / total
-        if ratio >= self.params.max_ratio:
-            self.p = min(self.p + self.params.delta, self.params.max_p)
-            self.success = 0
-            self.fail = 0
-        if ratio <= self.params.min_ratio:
-            if self.p >= self.params.delta:
-                self.p = max(self.p - self.params.delta, 0.0)
-            self.success = 0
-            self.fail = 0
-
-
 IDS = st.integers(min_value=0, max_value=7)   # schedulers and other senders, often known
 STEPS = st.one_of(
     st.tuples(st.just("header"), IDS, st.none() | IDS, st.integers(0, 50),
@@ -356,7 +323,7 @@ STEPS = st.one_of(
 def test_one_pass_step_matches_per_station_oracle(n, max_num, steps):
     params = TokenParams(max_num=max_num)
     scheds = [TokenScheduler(sid, params, substream(1, sid, "sched")) for sid in range(n)]
-    oracles = [_Oracle(sid, params) for sid in range(n)]
+    oracles = [SchedulerOracle(sid, params) for sid in range(n)]
     grants, expected = [], []
     on_grant = [lambda sid=sid: grants.append(sid) for sid in range(n)]
     hook_cache = {}
@@ -374,13 +341,11 @@ def test_one_pass_step_matches_per_station_oracle(n, max_num, steps):
         elif kind == "transmit":
             frame = data(sid)
             scheds[sid].on_transmit_data(frame, step[2])
-            oracles[sid].transmit(frame.privileged)
+            oracles[sid].transmit(frame.privileged, step[2])
         else:
             scheds[sid]._period_reset()
             oracles[sid].reset()
         assert grants == expected
         for sched, oracle in zip(scheds, oracles):
-            assert (sched.p, sched.active, sched.success, sched.fail, sched.flag) == \
-                (oracle.p, oracle.active, oracle.success, oracle.fail, oracle.flag)
-            own = sched.sid
-            assert {k: v for k, v in sched.q_len_map.items() if k != own} == oracle.q_len_map
+            assert (sched.p, sched.heard, sched.success, sched.fail, sched.flag) == \
+                (oracle.p, oracle.heard, oracle.success, oracle.fail, oracle.flag)
