@@ -24,9 +24,8 @@ from functools import partial
 from .frames import ACK, DATA, MacFrame, frame_airtime
 
 IDLE = 0
-WAITING = 1
-TRANSMITTING = 2
-AWAIT_ACK = 3
+WAITING = 1     # contending, and transmitting the DATA frame once the access fires
+AWAIT_ACK = 2
 
 ACCEPTED = "accepted"
 DROPPED = "dropped"
@@ -163,7 +162,6 @@ class Station:
         if self.scheduler is not None:
             self.scheduler.on_transmit_data(frame, len(self.queue))
         self.metrics.tx_attempts += 1
-        self.phase = TRANSMITTING
         self.medium.begin_transmission(self.sid, frame, self.data_airtime)
 
     def on_tx_complete(self, frame, delivered):

@@ -227,7 +227,6 @@ class Medium:
         # channel-wide busy bookkeeping for the idle-gap metric
         self._busy_start = 0
         self._last_busy_end = 0
-        self._last_gap = 0
         # contention clock: carrier-sense groups of contending stations
         self._groups = {}                # cs_mask -> _Group
         self._group_of = [None] * n      # sid -> _Group once subscribed
@@ -254,10 +253,8 @@ class Medium:
     def subscribe(self, sid):
         """Put a contending station into the carrier-sense group of its cs_mask.
 
-        Returns the group.
+        Returns the group.  A station subscribes once, at its first ``join``.
         """
-        if self._group_of[sid] is not None:
-            return self._group_of[sid]
         cs = self.cs_mask[sid]
         group = self._groups.get(cs)
         if group is None:
@@ -446,14 +443,11 @@ class Medium:
                     other.spoil |= my_cs
         tx.spoil = spoil
 
-        # channel-wide idle gap: logged per access that begins a busy period
+        # channel-wide idle gap, logged per access that opens a busy period or co-starts it
         if not self._active:
-            self._last_gap = now - self._last_busy_end
             self._busy_start = now
-            self.metrics.idle_gaps.append(self._last_gap)
-        elif self._busy_start == now:
-            # same-instant co-starter saw the same idle gap
-            self.metrics.idle_gaps.append(self._last_gap)
+        if self._busy_start == now:
+            self.metrics.idle_gaps.append(now - self._last_busy_end)
         self._active[src] = tx
 
         for group in self._hit[src]:

@@ -29,19 +29,26 @@ def require_ints(params):
 
 @dataclass(frozen=True)
 class PhyParams:
-    """Channel timing and radio geometry.  Durations in microseconds."""
+    """Channel timing and radio geometry.  Durations in microseconds.
+
+    ``difs`` is derived, SIFS + 2 slot times (IEEE 802.11-2012, 9.3.2.3), so a SIFS
+    access starts before any backoff; passing ``difs`` or a ``[phy] difs`` key fails.
+    """
 
     slot_time: int = 9
     sifs: int = 10
-    difs: int = 28
     preamble: int = 16
     bit_rate: int = 54_000_000
     tx_range: float = 250.0
     cs_range: float = 550.0
 
+    @property
+    def difs(self):
+        return self.sifs + 2 * self.slot_time
+
     def __post_init__(self):
         require_ints(self)
-        if min(self.slot_time, self.sifs, self.difs, self.preamble) <= 0:
+        if min(self.slot_time, self.sifs, self.preamble) <= 0:
             raise ConfigError("phy intervals must be positive")
         if self.bit_rate <= 0:
             raise ConfigError("bit_rate must be positive")

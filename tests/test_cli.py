@@ -36,6 +36,13 @@ def test_validate_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_validate_rejects_difs(tmp_path, capsys):
+    path = tmp_path / "difs.ini"
+    path.write_text("[phy]\ndifs = 28\n")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "config error: unknown key 'difs' in section [phy]" in capsys.readouterr().err
+
+
 def test_validate_rejects_nan_period(tmp_path, capsys):
     path = tmp_path / "nan.ini"
     path.write_text("[token]\nperiod = nan\n")
@@ -109,6 +116,19 @@ def test_sweep_values_keep_large_integers_exact(config_file, tmp_path):
                  "--values", "9007199254740993", "--out", str(out)]) == 0
     rows = (out / "results.csv").read_text().splitlines()[1:]
     assert rows and all(row.startswith("seed=9007199254740993,") for row in rows)
+
+
+def test_sweep_values_skip_empty_entries():
+    assert _parse_values("3,,6") == [3, 6]
+
+
+def test_sweep_without_values_fails(config_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", config_file, "--param", "seed",
+              "--values", ",", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "empty value list" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_sweep_rejects_infinite_count(config_file, tmp_path, capsys):

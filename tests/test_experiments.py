@@ -110,6 +110,11 @@ def test_default_section_rejected():
         parse_config("[DEFAULT]\nseed = 3\nruns = 2\n")
 
 
+def test_key_before_any_section_rejected():
+    with pytest.raises(ConfigError, match="no section headers"):
+        parse_config("seed = 3\n[experiment]\nruns = 2\n")
+
+
 def test_unknown_key_rejected_with_name():
     with pytest.raises(ConfigError, match="jitter"):
         parse_config("[phy]\njitter = 5\n")
@@ -443,6 +448,17 @@ def test_csv_round_trip(tmp_path):
     assert per_run == [rep.throughput_bps for rep in row.reports]
 
 
+def test_csv_writes_a_missing_metric_as_an_empty_cell(tmp_path):
+    # 1 us of virtual time: nothing is delivered, so the delay is None
+    row = run_scenario(short_config(runs=1, duration_s=1e-6))
+    assert row.reports[0].access_delay_us is None
+    path = tmp_path / "results.csv"
+    write_csv(str(path), [row])
+    with open(path, newline="") as fh:
+        records = list(csv.DictReader(fh))
+    assert [r["access_delay_us"] for r in records] == ["", ""]
+
+
 @pytest.mark.parametrize("name", ["area_side", "duration_s"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_scenario_config_floats_must_be_finite(name, value):
@@ -465,3 +481,5 @@ def test_scenario_config_validation():
         ScenarioConfig(n_transmitters=0)
     with pytest.raises(ConfigError):
         ScenarioConfig(runs=0)
+    with pytest.raises(ConfigError, match="area_side"):
+        ScenarioConfig(area_side=0.0)

@@ -417,6 +417,21 @@ def test_withdrawal_needs_a_frozen_access():
         medium.withdraw_access(1)
 
 
+def test_withdrawal_while_the_backoff_counts_is_refused():
+    sim, medium, _ = make_medium([(0.0, 0.0)])
+    sim.schedule(0, lambda: medium.join(0) and medium.register_access(0, 5))
+    sim.run_until(10)
+    with pytest.raises(MediumError, match="while its backoff counts"):
+        medium.withdraw_access(0)
+
+
+def test_zero_airtime_refused():
+    _sim, medium, _ = make_medium([(0.0, 0.0), (100.0, 0.0)])
+    with pytest.raises(MediumError, match="airtime"):
+        medium.begin_transmission(0, data(0, 1), 0)
+    assert not medium.is_transmitting(0)
+
+
 # what the medium calls on a station, and ``ack_lost``, which the station
 # that was to send an ACK calls on the one awaiting it
 STATION_CALLBACKS = ("ack_lost", "fire_access", "on_channel_idle", "on_frame",

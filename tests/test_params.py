@@ -13,6 +13,24 @@ def test_phy_defaults():
     assert (phy.tx_range, phy.cs_range) == (250.0, 550.0)
 
 
+@pytest.mark.parametrize("kwargs, difs", [
+    ({}, 28),
+    ({"sifs": 16}, 34),
+    ({"slot_time": 20}, 50),
+    ({"slot_time": 9, "sifs": 16, "preamble": 20}, 34),                          # OFDM
+    ({"slot_time": 20, "sifs": 10, "preamble": 192, "bit_rate": 11_000_000}, 50),   # DSSS
+])
+def test_difs_is_sifs_plus_two_slots(kwargs, difs):
+    phy = PhyParams(**kwargs)
+    assert phy.difs == difs
+    assert phy.sifs < phy.difs
+
+
+def test_difs_is_no_setting():
+    with pytest.raises(TypeError):
+        PhyParams(difs=28)
+
+
 def test_mac_defaults():
     mac = MacParams()
     assert (mac.cw_min, mac.cw_max) == (16, 1024)
@@ -51,6 +69,7 @@ def test_phy_validation(kwargs):
     {"retry_limit": -1},
     {"data_header_bytes": 0},
     {"ack_timeout_guard": 0},      # the timeout would fire ahead of the ACK's end
+    {"sched_header_bytes": -1},
 ])
 def test_mac_validation(kwargs):
     with pytest.raises(ConfigError):

@@ -31,6 +31,8 @@ def test_traffic_spec_validation():
         TrafficSpec(kind="pareto_on_off", shape=1.0)
     with pytest.raises(ValueError):
         TrafficSpec(kind="pareto_on_off", rate_bps=0)
+    with pytest.raises(ValueError):
+        TrafficSpec(kind="pareto_on_off", on_mean_us=0.0)
 
 
 @pytest.mark.parametrize("kind", ["full_buffer", "pareto_on_off"])
