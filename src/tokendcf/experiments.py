@@ -20,10 +20,9 @@ from .token import TokenScheduler, overhear, start_period_clock
 from .traffic import TrafficSpec, make_source
 
 PROTOCOLS = ("dcf", "token_dcf")
-# Grant policies.  Every link runs at phy.bit_rate, so the backpressure weight
-# queue x rate is a positive multiple of the queue and picks what LQF picks:
-# both names run the same longest-queue-first scheduler.
-POLICIES = ("lqf", "backpressure")
+# Grant policies: the one longest-queue-first scheduler.  The ``policy`` field
+# stays only because the benchmark's workloads pass policy="lqf".
+POLICIES = ("lqf",)
 
 SINGLE_HOP_OFFSET = 100.0   # receiver sits 100 m east of its transmitter, wrapped
 
@@ -277,7 +276,7 @@ class Network:
     def run(self, horizon_us):
         """Run the event loop to ``horizon_us`` and report the run so far."""
         self.sim.run_until(horizon_us)
-        return summarize(self.metrics, horizon_us, self.config.phy.slot_time)
+        return summarize(self.metrics, self.stations, horizon_us, self.config.phy.slot_time)
 
     def close(self):
         """Break the run's reference cycles, so that dropping the network frees it.

@@ -102,7 +102,6 @@ class Station:
         if count > room:
             lost = count - room
             self.dropped_full += lost
-            self.metrics.drops += lost
             count = room
         if count <= 0:
             return DROPPED
@@ -223,7 +222,6 @@ class Station:
         self._ack_due = None
         arrival = self.queue.popleft()
         now = self.sim.now
-        self.metrics.delivered_bits += 8 * self.payload_bytes
         self.metrics.access_delays.append(now - arrival)
         self.delivered += 1
         self.cw = self.mac.cw_min
@@ -242,7 +240,6 @@ class Station:
         if self.retries > self.mac.retry_limit:
             self.queue.popleft()
             self.dropped_retry += 1
-            self.metrics.drops += 1
             self.cw = self.mac.cw_min
             self.retries = 0
             if self.source is not None:

@@ -1,8 +1,10 @@
-"""Shared helpers: hand-placed networks, tiny station stubs and a token scheduler oracle."""
+"""Shared helpers: hand-placed networks, tiny station stubs, a token scheduler oracle
+and the one reader of the medium's trace."""
+
+from dataclasses import dataclass
 
 from tokendcf import (MacParams, Network as _Network, PhyParams, ScenarioConfig,
                       TokenParams, TrafficSpec)
-from tokendcf.medium import members
 from tokendcf.traffic import FullBufferSource
 
 
@@ -124,22 +126,77 @@ def listen(medium, callbacks):
     medium.on_data = on_data
 
 
-def finished_frames(trace):
-    """(src, start, end, kind, corrupted, delivered) per "end" record of a trace.
+@dataclass(slots=True)
+class AiredFrame:
+    """One frame of the medium's trace.  ``delivered`` and ``corrupted`` are its
+    "end" record's receiver masks (bit i for station i), None while on the air."""
 
-    In the order the frames ended, with both receiver masks decoded to
-    ascending id tuples; the start and end instants come from the source's
-    last "tx" record (a station sends one frame at a time).
+    src: int
+    dst: int
+    kind: int
+    start: int
+    end: int
+    delivered: int | None = None
+    corrupted: int | None = None
+
+
+def read_frames(trace):
+    """The frames of a medium trace, in the order they went on the air.
+
+    The medium appends ``(t, "tx", src, kind, end, dst)`` as a frame goes on
+    the air and ``(t, "end", src, kind, delivered, corrupted)`` as it ends;
+    any other record kind raises ValueError.  Each "end" record must close
+    its source's one frame on the air, of its kind, at the end its "tx"
+    record gave, with disjoint masks, and come in (end, start order) order:
+    a stable sort of the finished frames by ``end`` is their end order.
     """
-    aired = {}
-    frames = []
+    frames, on_air = [], {}   # src -> (start order, frame) of its frame on the air
+    last_end = (-1, -1)       # (end, start order) of the latest "end" record
     for rec in trace:
         if rec[1] == "tx":
-            aired[rec[2]] = rec
+            start, _tx, src, kind, end, dst = rec
+            assert src not in on_air, f"source {src} has two frames on the air: {rec}"
+            on_air[src] = (len(frames), AiredFrame(src, dst, kind, start, end))
+            frames.append(on_air[src][1])
+        elif rec[1] == "end":
+            t, _end, src, kind, delivered, corrupted = rec
+            order, frame = on_air.pop(src, (None, None))
+            assert frame and (frame.kind, frame.end) == (kind, t), f"{rec} closes no frame"
+            assert not delivered & corrupted, f"masks overlap: {rec}"
+            assert (t, order) > last_end, f"{rec} ends out of order"
+            last_end = (t, order)
+            frame.delivered, frame.corrupted = delivered, corrupted
         else:
-            _t, _end, src, kind, delivered, corrupted = rec
-            start, _tx, _src, _kind, end, _dst = aired[src]
-            frames.append((src, start, end, kind, tuple(members(corrupted)),
-                           tuple(members(delivered))))
+            raise ValueError(f"unknown trace record kind: {rec}")
     return frames
 
+
+@dataclass(slots=True)
+class BusyPeriod:
+    """A run of overlapping frames, in start order, and the idle time before it."""
+
+    idle_before: int   # us since the previous period ended, or since 0
+    start: int
+    end: int           # the latest end of its frames
+    frames: list
+    last: AiredFrame   # the frame whose end closed it: latest end, ties to the later start
+
+
+def busy_periods(frames):
+    """Split ``frames`` (in start order) into busy periods, as a clique senses the channel.
+
+    A frame joins the current period when it starts before the period ends;
+    one that starts the instant the period ends opens the next, after an
+    idle gap of 0.  A frame on the air at the horizon counts to its end.
+    """
+    periods = []
+    for frame in frames:
+        if periods and frame.start < periods[-1].end:
+            period = periods[-1]
+            period.frames.append(frame)
+            if frame.end >= period.end:
+                period.end, period.last = frame.end, frame
+        else:
+            idle_before = frame.start - (periods[-1].end if periods else 0)
+            periods.append(BusyPeriod(idle_before, frame.start, frame.end, [frame], frame))
+    return periods

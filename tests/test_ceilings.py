@@ -12,7 +12,7 @@ import pytest
 import tokendcf.experiments
 from tokendcf import DATA, MacParams, PhyParams, TokenScheduler, frame_airtime
 
-from conftest import Network
+from conftest import Network, read_frames
 
 PHY = PhyParams()
 MAC = MacParams()
@@ -55,8 +55,7 @@ def test_forced_chain_runs_at_the_ceiling(monkeypatch, payload, phy):
                   payload=payload, phy=phy, trace=True).saturate()
     report = net.run(horizon)
     period = chain_period(payload, phy)
-    starts = [t for t, kind, src, frame_kind, *_ in net.trace
-              if kind == "tx" and src == 0 and frame_kind == DATA]
+    starts = [f.start for f in read_frames(net.trace) if f.src == 0 and f.kind == DATA]
     # after the first access every DATA frame follows the last by one period
     assert {b - a for a, b in zip(starts, starts[1:])} == {period}
     assert report.collision_freq == 0.0

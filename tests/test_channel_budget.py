@@ -12,65 +12,42 @@ import pytest
 
 from tokendcf import ACK, DATA, ScenarioConfig, Simulation, TrafficSpec, derive_seed
 
+from conftest import busy_periods, read_frames
+
 PAYLOAD = 500
 
 
-def channel_budget(trace, horizon, sifs):
+def channel_budget(frames, horizon, sifs):
     """Integer µs per part of the horizon; frames still on air are cut at the horizon."""
-    frames = []
-    on_air = {}
-    for rec in trace:
-        if rec[1] == "tx":
-            start, _tx, src, kind, end, dst = rec
-            on_air[src] = [start, min(end, horizon), kind, dst, False]
-            frames.append(on_air[src])
-        else:
-            _t, _end, src, _kind, delivered, _corrupted = rec
-            frame = on_air.pop(src)
-            frame[4] = bool(delivered >> frame[3] & 1)
-    periods = []     # [start, end, frames] of each busy period
-    for frame in sorted(frames, key=lambda f: f[0]):
-        if periods and frame[0] < periods[-1][1]:
-            periods[-1][1] = max(periods[-1][1], frame[1])
-            periods[-1][2].append(frame)
-        else:
-            periods.append([frame[0], frame[1], [frame]])
     parts = dict.fromkeys(("delivered", "collided", "ack", "sifs_gap", "backoff_gap"), 0)
-    idle_from = 0
-    for start, end, members in periods + [[horizon, horizon, []]]:
-        gap = start - idle_from
+    periods = busy_periods(frames)
+    tail = horizon - min(periods[-1].end, horizon) if periods else horizon
+    for gap in [period.idle_before for period in periods] + [tail]:
         parts["sifs_gap" if gap <= sifs else "backoff_gap"] += gap
-        kinds = [kind for _s, _e, kind, _dst, _ok in members]
-        if kinds == [ACK]:
-            parts["ack"] += end - start
-        elif kinds == [DATA] and members[0][4]:
-            parts["delivered"] += end - start
-        elif members:
-            parts["collided"] += end - start
-        idle_from = end
+    for period in periods:
+        alone = period.frames[0] if len(period.frames) == 1 else None
+        if alone and alone.kind == ACK:
+            part = "ack"
+        else:
+            part = "delivered" if alone and decoded(alone) else "collided"
+        parts[part] += min(period.end, horizon) - period.start
     return parts
 
 
-def open_exchanges(trace, sifs):
+def decoded(frame):
+    """Whether the frame ended and its addressee decoded it."""
+    return frame.delivered is not None and frame.delivered >> frame.dst & 1
+
+
+def open_exchanges(frames, sifs):
     """End instants of DATA frames their addressee decoded whose ACK never ended.
 
     The ACK of such a frame is still on air at the horizon, or not yet sent,
     so no station counts the frame among its deliveries.
     """
-    on_air = {}
-    acked = set()     # (start, src) of every ACK that ended
-    decoded = []      # (end, addressee) of every DATA frame its addressee decoded
-    for rec in trace:
-        if rec[1] == "tx":
-            on_air[rec[2]] = rec
-        else:
-            t, _end, src, kind, delivered, _corrupted = rec
-            start, _tx, _src, _kind, _end_at, dst = on_air.pop(src)
-            if kind == ACK:
-                acked.add((start, src))
-            elif delivered >> dst & 1:
-                decoded.append((t, dst))
-    return [t for t, dst in decoded if (t + sifs, dst) not in acked]
+    acked = {(f.start, f.src) for f in frames if f.kind == ACK and f.delivered is not None}
+    return [f.end for f in frames
+            if f.kind == DATA and decoded(f) and (f.end + sifs, f.dst) not in acked]
 
 
 def clique_budget(protocol, n):
@@ -81,9 +58,10 @@ def clique_budget(protocol, n):
     sim = Simulation(config, derive_seed(config.seed, 0), trace=trace)
     report = sim.run()
     horizon = config.horizon_us
-    parts = channel_budget(trace, horizon, config.phy.sifs)
+    frames = read_frames(trace)
+    parts = channel_budget(frames, horizon, config.phy.sifs)
     station = sim.stations[0]
-    still_open = open_exchanges(trace, config.phy.sifs)
+    still_open = open_exchanges(frames, config.phy.sifs)
     # each one's ACK could not end by the horizon
     assert all(t + config.phy.sifs + station.ack_airtime > horizon for t in still_open)
     return parts, report, horizon, station.data_airtime, len(still_open)

@@ -18,7 +18,7 @@ from tokendcf import (DATA, ConfigError, FullBufferSource, MacParams, Metrics, N
 from tokendcf.core import SimError
 from tokendcf.experiments import apply_sweep_value, write_csv
 
-from conftest import Network as PlacedNetwork
+from conftest import Network as PlacedNetwork, read_frames
 
 
 def short_config(**kwargs):
@@ -161,8 +161,8 @@ SECTIONS = {"phy": PhyParams, "mac": MacParams, "token": TokenParams,
             "traffic": TrafficSpec, "experiment": ScenarioConfig}
 # field -> its config-file key where the two differ; period is set in seconds
 RENAMED = {"period_us": "period", "rate_bps": "rate", "duration_s": "duration"}
-OTHER_STRINGS = {"kind": "pareto_on_off", "protocol": "token_dcf",
-                 "policy": "backpressure"}
+# a value other than the default where there is one; policy has only lqf
+OTHER_STRINGS = {"kind": "pareto_on_off", "protocol": "token_dcf", "policy": "lqf"}
 
 
 def _scalar_fields():
@@ -238,8 +238,10 @@ def test_token_clique_hands_each_decoded_data_frame_to_the_hook_once(n):
     sim.medium.on_data = lambda frame, listened: (calls.append(listened), hook(frame, listened))
     sim.run()
     listeners = sum(1 << st.sid for st in sim.stations if st.scheduler is not None)
-    heard = [rec[4] & listeners for rec in trace
-             if rec[1] == "end" and rec[3] == DATA and rec[4] & listeners]
+    # the hook is called as each frame ends, so in end order
+    ended = sorted((f for f in read_frames(trace) if f.kind == DATA and f.delivered),
+                   key=lambda f: f.end)
+    heard = [f.delivered & listeners for f in ended if f.delivered & listeners]
     assert len(heard) > 0
     assert calls == heard
     assert max(mask.bit_count() for mask in calls) == n - 1
@@ -332,11 +334,11 @@ def test_close_with_work_in_flight_leaves_no_cyclic_garbage(protocol, pending):
     reference = PlacedNetwork(THREE, [(0, 1), (2, 1)], protocol=protocol, trace=True).saturate()
     reference.run(100_000)
     reference.close()
-    trace = reference.trace
+    frames = read_frames(reference.trace)
     sifs = PhyParams().sifs
-    acks = {(t, src) for t, what, src, kind, *_ in trace if what == "tx" and kind != DATA}
-    start, src, end = next((t, src, end) for t, what, src, kind, end, dst in trace[20:]
-                           if what == "tx" and kind == DATA and (end + sifs, dst) in acks)
+    acks = {(f.start, f.src) for f in frames if f.kind != DATA}
+    start, src, end = next((f.start, f.src, f.end) for f in frames[10:]
+                           if f.kind == DATA and (f.end + sifs, f.dst) in acks)
     horizon = start + 1 if pending == "data_on_air" else end + 1
     with gc_off():
         net = PlacedNetwork(THREE, [(0, 1), (2, 1)], protocol=protocol).saturate()

@@ -7,7 +7,7 @@ delivered, dropped on a full queue, dropped at the retry limit, and the
 queue length at the horizon).  The entries:
 
 - the golden cases: four scenarios under both protocols at seeds 1 and 7919,
-  runs 0 and 1, plus one backpressure case;
+  runs 0 and 1;
 - ``two-way-token``: saturated two-way token flows, the one golden case where
   addressed DATA frames reach token schedulers;
 - ``bench-*``: every run of three benchmark workloads at seed 1 and two at
@@ -34,7 +34,7 @@ import tokendcf.token
 from tokendcf import (MacParams, Medium, ScenarioConfig, Simulation, Station,
                       TokenParams, TrafficSpec, derive_seed)
 
-from conftest import Network
+from conftest import Network, read_frames
 
 PARETO = TrafficSpec(kind="pareto_on_off", packet_size=1500, rate_bps=1e6)
 
@@ -134,11 +134,6 @@ def _cases():
                 config = ScenarioConfig(protocol=protocol, seed=seed, **kw)
                 for run in RUNS:
                     cases[f"{name}-{protocol}-s{seed}-r{run}"] = (partial(simulate, config, run),)
-    # every link runs at one bit rate, so backpressure picks as LQF does and
-    # this digest equals multihop800-token_dcf-s1-r0's
-    config = ScenarioConfig(protocol="token_dcf", policy="backpressure", seed=1,
-                            **SCENARIOS["multihop800"])
-    cases["multihop800-backpressure-s1-r0"] = (partial(simulate, config, 0),)
     cases["two-way-token"] = (partial(saturate, TWO_WAY, TWO_WAY_FLOWS, TWO_WAY_HORIZON_US,
                                       protocol="token_dcf"),)
     workloads = _workloads()
@@ -152,6 +147,7 @@ def _cases():
 def case_digest(runs, reached):
     """sha256 (first 16 hex digits) of each run's trace, report and station counters.
 
+    Each trace is read first, so every pinned run passes the reader's checks.
     Also counts into ``reached`` the full-queue drops, the retry-limit drops
     by ``retry_limit``, and the flow sources that delivered nothing.
     """
@@ -160,6 +156,7 @@ def case_digest(runs, reached):
         net, report = run()
         counters = [(st.enqueued, st.delivered, st.dropped_full, st.dropped_retry,
                      len(st.queue)) for st in net.stations]
+        read_frames(net.medium.trace)
         digest.update(repr(net.medium.trace).encode())
         digest.update(repr(report).encode())
         digest.update(repr(counters).encode())
@@ -247,7 +244,6 @@ PINNED = {
     'pareto1500-token_dcf-s1-r1': '792d60401ceba50b',
     'pareto1500-token_dcf-s7919-r0': '3815c6d20a4fa3e3',
     'pareto1500-token_dcf-s7919-r1': 'c298e84f82272334',
-    'multihop800-backpressure-s1-r0': '272f5baf84444bba',
     'two-way-token': '4d0825c18f0501ee',
     'bench-clique-sat-token-s1': 'fdd0df73d90659db',
     'bench-clique-sat-dcf-n100-s1': '0e3eb7450017db9e',

@@ -13,7 +13,7 @@ from tokendcf import (DATA, ACK, MacFrame, MacParams, ScenarioConfig, Simulation
 from tokendcf.traffic import FullBufferSource, make_source
 from tokendcf.mac import ACCEPTED, DROPPED, IDLE, WAITING
 
-from conftest import Network, Recorder, listen
+from conftest import Network, Recorder, listen, read_frames
 
 
 def single_flow(**kwargs):
@@ -68,7 +68,7 @@ def always_grant(net, sid, to):
 
 
 def first_tx(net, sid):
-    return next(t for t, kind, src, *_ in net.trace if kind == "tx" and src == sid)
+    return next(f.start for f in read_frames(net.trace) if f.src == sid)
 
 
 # -- queueing ---------------------------------------------------------------
@@ -81,7 +81,6 @@ def test_queue_accepts_up_to_capacity_then_drops():
     assert st.enqueue_packet() == DROPPED
     assert len(st.queue) == 50
     assert st.dropped_full == 1
-    assert net.metrics.drops == 1
 
 
 @pytest.mark.parametrize("before, count, queued, dropped", [
@@ -112,7 +111,6 @@ def test_enqueue_of_many_queues_the_room_and_drops_the_rest(before, count, queue
     assert st.enqueued == before + count
     assert len(st.queue) == before + queued
     assert st.dropped_full == dropped
-    assert net.metrics.drops == dropped
     # contention starts once, on the first packet queued
     started = before + queued > 0
     assert st.rng.bounds == ([MacParams().cw_min] if started else [])
@@ -131,7 +129,7 @@ def test_full_buffer_start_equals_single_enqueues():
     for name in ("enqueued", "dropped_full", "phase", "pending_slots", "registered"):
         assert getattr(a, name) == getattr(b, name), name
     assert a.rng.getstate() == b.rng.getstate()
-    assert filled.metrics.drops == single.metrics.drops == 0
+    assert a.dropped_full == 0
     filled.run(5000)
     single.run(5000)
     assert filled.trace == single.trace
@@ -263,7 +261,7 @@ def test_addressed_grant_to_frozen_backoff():
     net.run(2000)
     data_end = 28 + st0.data_airtime
     ack_end = data_end + 10 + st1.ack_airtime
-    sent = [(t, src, fkind) for t, kind, src, fkind, *_ in net.trace if kind == "tx"]
+    sent = [(f.start, f.src, f.kind) for f in read_frames(net.trace)]
     assert sent[:3] == [(28, 0, DATA), (data_end + 10, 1, ACK), (ack_end + 10, 1, DATA)]
     assert st1.sifs_plan
     assert st1.rng.slots == [99]
@@ -350,11 +348,13 @@ def counted_timeouts():
         Station._ack_timeout = original
 
 
-def check_ack_accounting(stations, metrics, trace, horizon, fired):
-    assert sum(map(len, fired.values())) == metrics.tx_failures
-    for st in stations:
-        # (t, "tx", src, kind, end, dst) records of its DATA frames
-        ends = [rec[4] for rec in trace if rec[1] == "tx" and rec[2] == st.sid and rec[3] == DATA]
+def check_ack_accounting(net, horizon, fired):
+    """Each ACK timeout of a traced network run to ``horizon`` acts, and at its due instant."""
+    assert sum(map(len, fired.values())) == net.metrics.tx_failures
+    frames = read_frames(net.medium.trace)
+    for st in net.stations:
+        # the ends of its DATA frames, the last perhaps still on the air
+        ends = [f.end for f in frames if f.src == st.sid and f.kind == DATA]
         for at in fired[st.sid]:
             # due ack_timeout_us after the end of its latest DATA frame
             assert at == ends[bisect.bisect_left(ends, at) - 1] + st.ack_timeout_us, (st.sid, at)
@@ -402,7 +402,6 @@ def test_every_lost_ack_times_out_and_no_other(layout, protocol, kind, guard, se
             horizon = 3_000
             net = half_duplex_loss(guard)
             net.run(horizon)
-            stations, metrics, trace = net.stations, net.metrics, net.trace
         else:
             traffic = TrafficSpec(kind=kind, packet_size=1500, rate_bps=2e6)
             config = ScenarioConfig(
@@ -410,11 +409,9 @@ def test_every_lost_ack_times_out_and_no_other(layout, protocol, kind, guard, se
                 area_side={"clique": 150.0, "spatial": 800.0, "wide": 1500.0}[layout],
                 mac=MacParams(ack_timeout_guard=guard), traffic=traffic)
             horizon = config.horizon_us
-            trace = []
-            sim = Simulation(config, derive_seed(seed, 0), trace=trace)
-            sim.run()
-            stations, metrics = sim.stations, sim.metrics
-    check_ack_accounting(stations, metrics, trace, horizon, fired)
+            net = Simulation(config, derive_seed(seed, 0), trace=[])
+            net.run()
+    check_ack_accounting(net, horizon, fired)
 
 
 @pytest.mark.parametrize("guard", [1, 20, 393])
@@ -424,7 +421,7 @@ def test_half_duplex_guard_queues_the_senders_timeout(guard):
     net.run(3_000)
     st0 = net.stations[0]
     data_end = 28 + st0.data_airtime
-    sent = [(t, src, fkind) for t, kind, src, fkind, *_ in net.trace if kind == "tx"]
+    sent = [(f.start, f.src, f.kind) for f in read_frames(net.trace)]
     assert sent[:3] == [(28, 0, DATA), (data_end + 10, 1, DATA), (data_end + 10, 2, DATA)]
     assert (data_end + 10, 1, ACK) not in sent
     assert net.metrics.tx_failures == 1
@@ -437,24 +434,22 @@ def test_half_duplex_guard_queues_the_senders_timeout(guard):
 def test_ack_starts_exactly_sifs_after_data_end():
     net = single_flow(trace=True)
     net.saturate().run(20_000)
-    trace = net.trace
-    data_ends = [(t, src) for t, kind, src, fkind, *_ in trace
-                 if kind == "end" and fkind == DATA]
-    ack_starts = [(t, src) for t, kind, src, fkind, *_ in trace
-                  if kind == "tx" and fkind == ACK]
-    assert data_ends and len(ack_starts) == len(data_ends)
-    for (t_end, _), (t_ack, ack_src) in zip(data_ends, ack_starts):
-        assert t_ack == t_end + 10
-        assert ack_src == 1
+    frames = read_frames(net.trace)
+    data_ends = [f.end for f in frames if f.kind == DATA and f.delivered is not None]
+    acks = [f for f in frames if f.kind == ACK]
+    assert data_ends and len(acks) == len(data_ends)
+    for t_end, ack in zip(data_ends, acks):
+        assert ack.start == t_end + 10
+        assert ack.src == 1
 
 
 def test_saturated_single_sender_delivers_and_conserves():
     net = single_flow()
-    net.saturate().run(100_000)
+    report = net.saturate().run(100_000)
     st = net.stations[0]
     assert st.delivered > 0
     assert st.enqueued == st.delivered + st.dropped_full + st.dropped_retry + len(st.queue)
-    assert net.metrics.delivered_bits == st.delivered * 8 * 500
+    assert report.throughput_bps == st.delivered * 8 * 500 / 100_000 * 1e6
     assert net.metrics.tx_failures == 0   # no contender, no losses
 
 
@@ -470,9 +465,7 @@ def test_sink_sends_no_ack_for_foreign_destination():
     net = Network([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)], [(0, 1)], trace=True)
     listen(net.medium, {2: net.stations[2].on_frame})
     net.saturate().run(5_000)
-    ack_srcs = {src for _, kind, src, fkind, *_ in net.trace
-                if kind == "tx" and fkind == ACK}
-    assert ack_srcs == {1}
+    assert {f.src for f in read_frames(net.trace) if f.kind == ACK} == {1}
 
 
 # -- stations that both send and receive ------------------------------------

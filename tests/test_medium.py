@@ -13,7 +13,7 @@ from tokendcf import (ACK, DATA, ConfigError, MacFrame, Medium, Metrics,
                       derive_seed, generate_topology)
 from tokendcf.medium import MediumError, members, neighbor_tables
 
-from conftest import Recorder, finished_frames, listen
+from conftest import Recorder, busy_periods, listen, read_frames
 
 
 def make_medium(positions, metrics=None):
@@ -34,13 +34,13 @@ def frames_at(recorder):
 
 
 def ends(medium):
-    """src -> (delivered, corrupted) of the trace's "end" records, one frame per source."""
-    return {src: (delivered, corrupted)
-            for src, _start, _end, _kind, corrupted, delivered in finished_frames(medium.trace)}
+    """src -> (delivered, corrupted) ids of each source's last finished frame."""
+    return {f.src: (tuple(members(f.delivered)), tuple(members(f.corrupted)))
+            for f in read_frames(medium.trace) if f.delivered is not None}
 
 
 def corrupted(medium):
-    """src -> the receivers the trace's "end" record lists as corrupted."""
+    """src -> the receivers its last finished frame lists as corrupted."""
     return {src: spoiled for src, (_delivered, spoiled) in ends(medium).items()}
 
 
@@ -317,6 +317,20 @@ def test_trace_of_a_dense_clique_stays_small():
     assert len(repr(trace)) < 200 * 1024
 
 
+@pytest.mark.parametrize("records, error", [
+    ([(0, "grant", 0)], "unknown trace record kind"),
+    ([(0, "tx", 0, DATA, 96, 1), (9, "tx", 0, DATA, 105, 1)], "two frames on the air"),
+    ([(0, "tx", 0, DATA, 96, 1), (95, "end", 0, DATA, 2, 0)], "closes no frame"),
+    ([(0, "tx", 0, DATA, 96, 1), (96, "end", 0, ACK, 2, 0)], "closes no frame"),
+    ([(0, "tx", 0, DATA, 96, 1), (96, "end", 0, DATA, 2, 2)], "masks overlap"),
+    ([(0, "tx", 0, DATA, 96, 1), (0, "tx", 1, DATA, 96, 0), (96, "end", 1, DATA, 1, 0),
+      (96, "end", 0, DATA, 2, 0)], "out of order"),   # ends follow start order at an instant
+])
+def test_trace_reader_rejects_a_malformed_trace(records, error):
+    with pytest.raises((AssertionError, ValueError), match=error):
+        read_frames(records)
+
+
 # -- carrier sensing --------------------------------------------------------
 
 def test_carrier_idle_with_no_transmissions():
@@ -575,9 +589,9 @@ def test_reused_record_starts_each_frame_clean():
     sim.run_until(400)
     assert records[1] is records[0]
     assert frames_at(recorders[1]) == [second]
-    assert [(start, corrupted, delivered)
-            for src, start, _end, _kind, corrupted, delivered in finished_frames(medium.trace)
-            if src == 0] == [(0, (1, 2), ()), (200, (), (1,))]
+    sent = [(f.start, tuple(members(f.corrupted)), tuple(members(f.delivered)))
+            for f in read_frames(medium.trace) if f.src == 0]
+    assert sent == [(0, (1, 2), ()), (200, (), (1,))]
 
 
 def tx_completes(recorder):
@@ -692,6 +706,7 @@ def test_idle_gap_measured_from_last_busy_end():
     sim.schedule(2000, lambda: medium.begin_transmission(0, MacFrame(ACK, 0, 1), 10))
     sim.run_until(3000)
     assert metrics.idle_gaps == [1900, 90]
+    assert [p.idle_before for p in busy_periods(read_frames(medium.trace))] == [1900, 90]
 
 
 def test_busy_time_accumulates_union_of_intervals():
@@ -702,3 +717,5 @@ def test_busy_time_accumulates_union_of_intervals():
     sim.schedule(50, lambda: medium.begin_transmission(1, data(1, 2), 96))
     sim.run_until(1000)
     assert metrics.busy_time == 146
+    assert [(p.start, p.end, p.last.src) for p in busy_periods(read_frames(medium.trace))] == \
+        [(0, 146, 1)]

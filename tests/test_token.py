@@ -81,10 +81,10 @@ def test_tied_queues_grant_the_lowest_id_whatever_the_table_order():
 
 
 def test_unknown_policy_rejected():
-    # the grant policy is a scenario setting: lqf, or backpressure, which
-    # picks as lqf does while every link runs at one bit rate
-    with pytest.raises(ConfigError):
-        ScenarioConfig(policy="fifo")
+    # the grant policy is a scenario setting with one value, lqf
+    for policy in ("fifo", "backpressure"):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(policy=policy)
 
 
 # -- transmit / receive hooks -----------------------------------------------
