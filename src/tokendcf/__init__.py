@@ -8,7 +8,7 @@ from .experiments import (Network, ScenarioConfig, Simulation, generate_topology
 from .frames import ACK, DATA, MacFrame, frame_airtime
 from .mac import Station
 from .medium import Medium
-from .metrics import Metrics, MetricsReport, summarize
+from .metrics import MetricsReport, summarize
 from .params import ConfigError, MacParams, PhyParams, TokenParams
 from .token import TokenScheduler
 from .traffic import FullBufferSource, ParetoOnOffSource, TrafficSpec
@@ -21,7 +21,7 @@ __all__ = [
     "load_config", "run_scenario", "run_sweep", "simulate_run",
     "DATA", "ACK", "MacFrame", "frame_airtime",
     "Station", "Medium",
-    "Metrics", "MetricsReport", "summarize",
+    "MetricsReport", "summarize",
     "PhyParams", "MacParams", "TokenParams", "ConfigError",
     "TokenScheduler", "TrafficSpec", "FullBufferSource", "ParetoOnOffSource",
 ]

@@ -10,10 +10,10 @@ import os
 from dataclasses import dataclass, field
 from functools import partial
 
+from . import metrics
 from .core import Simulator, derive_seed, substream
 from .mac import Station
 from .medium import Medium
-from .metrics import Metrics, summarize
 from .params import (ConfigError, MacParams, PhyParams, TokenParams, require_finite,
                      require_ints)
 from .token import TokenScheduler, overhear, start_period_clock
@@ -231,10 +231,10 @@ def _check_flows(positions, flows):
 class Network:
     """Stations at hand-placed ``positions`` wired for one run.
 
-    Owns the event loop, the metrics, the medium and the stations, indexed
-    by id.  The source of each ``(src, dst)`` flow is a sender to ``dst``,
-    with a token scheduler under ``token_dcf``; every other id is a plain
-    station.  Each station draws from its own substreams of ``run_seed``.
+    Owns the event loop, the medium and the stations, indexed by id.  The
+    source of each ``(src, dst)`` flow is a sender to ``dst``, with a token
+    scheduler under ``token_dcf``; every other id is a plain station.  Each
+    station draws from its own substreams of ``run_seed``.
     """
 
     def __init__(self, positions, flows, config, run_seed, trace=None):
@@ -245,21 +245,19 @@ class Network:
         self.positions = positions
         self.flows = flows
         self.sim = Simulator()
-        self.metrics = Metrics()
-        self.medium = Medium(self.sim, positions, self.metrics, trace=trace,
-                             phy=config.phy)
+        self.medium = Medium(self.sim, positions, trace=trace, phy=config.phy)
         dsts = dict(flows)
         use_token = config.protocol == "token_dcf"
         self.stations = []
         for sid in range(len(positions)):
             if sid not in dsts:
-                st = Station(sid, self.sim, self.medium, config.mac, self.metrics)
+                st = Station(sid, self.sim, self.medium, config.mac)
             else:
                 scheduler = None
                 if use_token:
                     scheduler = TokenScheduler(sid, config.token, substream(run_seed, sid, "sched"))
                 st = Station(
-                    sid, self.sim, self.medium, config.mac, self.metrics,
+                    sid, self.sim, self.medium, config.mac,
                     rng=substream(run_seed, sid, "backoff"),
                     dst=dsts[sid], payload_bytes=config.traffic.packet_size,
                     scheduler=scheduler,
@@ -276,7 +274,8 @@ class Network:
     def run(self, horizon_us):
         """Run the event loop to ``horizon_us`` and report the run so far."""
         self.sim.run_until(horizon_us)
-        return summarize(self.metrics, self.stations, horizon_us, self.config.phy.slot_time)
+        # via the module: perfbench/layers.py wraps a ``summarize`` bound here
+        return metrics.summarize(self.stations, self.medium, horizon_us)
 
     def close(self):
         """Break the run's reference cycles, so that dropping the network frees it.
@@ -284,9 +283,9 @@ class Network:
         The pending events, the medium's station table, DATA hook (holding each
         station's ``on_grant``) and frame-end events, and each station's source
         and ACK events tie the run's objects into cycles only a ``gc`` pass frees.
-        Counters, queues, ``metrics`` and the trace stay readable.  The
-        pending events are dropped, so a closed network must not be run
-        again: ``run`` raises.  Closing twice is harmless.
+        The station and medium counters, the queues and the trace stay
+        readable.  The pending events are dropped, so a closed network must
+        not be run again: ``run`` raises.  Closing twice is harmless.
         """
         self.sim.close()
         self.medium.close()

@@ -33,23 +33,23 @@ DROPPED = "dropped"
 
 class Station:
     __slots__ = (
-        "sid", "sim", "medium", "phy", "mac", "metrics", "rng",
+        "sid", "sim", "medium", "phy", "mac", "rng",
         "dst", "payload_bytes", "scheduler", "source",
         "queue", "cw", "retries", "phase",
         "pending_slots", "sifs_plan", "registered",
         "ack_timeout_us", "_ack_due", "_data", "_acks",
         "enqueued", "delivered", "dropped_full", "dropped_retry",
+        "attempts", "failures", "delay_sum",
         "data_header_bytes", "data_airtime", "ack_airtime",
     )
 
-    def __init__(self, sid, sim, medium, mac, metrics,
+    def __init__(self, sid, sim, medium, mac,
                  rng=None, dst=None, payload_bytes=0, scheduler=None):
         self.sid = sid
         self.sim = sim
         self.medium = medium
         self.phy = medium.phy
         self.mac = mac
-        self.metrics = metrics
         self.rng = rng
         self.dst = dst
         self.payload_bytes = payload_bytes
@@ -69,6 +69,9 @@ class Station:
         self.delivered = 0
         self.dropped_full = 0
         self.dropped_retry = 0
+        self.attempts = 0           # DATA transmissions
+        self.failures = 0           # ACK timeouts
+        self.delay_sum = 0          # us from queue arrival to ACK, over delivered packets
         self.data_header_bytes = mac.data_header_bytes + (
             mac.sched_header_bytes if scheduler is not None else 0
         )
@@ -160,7 +163,7 @@ class Station:
             frame = self._data = MacFrame(DATA, self.sid, self.dst, self.payload_bytes)
         if self.scheduler is not None:
             self.scheduler.on_transmit_data(frame, len(self.queue))
-        self.metrics.tx_attempts += 1
+        self.attempts += 1
         self.medium.begin_transmission(self.sid, frame, self.data_airtime)
 
     def on_tx_complete(self, frame, delivered):
@@ -220,9 +223,7 @@ class Station:
 
     def _ack_received(self):
         self._ack_due = None
-        arrival = self.queue.popleft()
-        now = self.sim.now
-        self.metrics.access_delays.append(now - arrival)
+        self.delay_sum += self.sim.now - self.queue.popleft()
         self.delivered += 1
         self.cw = self.mac.cw_min
         self.retries = 0
@@ -234,7 +235,7 @@ class Station:
             self.phase = IDLE
 
     def _ack_timeout(self):
-        self.metrics.tx_failures += 1
+        self.failures += 1
         self.retries += 1
         self.cw = min(2 * self.cw, self.mac.cw_max)
         if self.retries > self.mac.retry_limit:

@@ -203,9 +203,8 @@ class _Group:
 
 
 class Medium:
-    def __init__(self, sim, positions, metrics, trace=None, phy=None):
+    def __init__(self, sim, positions, trace=None, phy=None):
         self.sim = sim
-        self.metrics = metrics
         # list for (t, "tx", src, kind, end, dst) and (t, "end", src, kind,
         # delivered, corrupted) records, receivers as bit masks; or None
         self.trace = trace
@@ -224,9 +223,10 @@ class Medium:
         # stations that take every decoded DATA frame, as bit sid
         self._listen = 0
         self.on_data = None      # their hook, on_data(frame, listened)
-        # channel-wide busy bookkeeping for the idle-gap metric
+        # channel-wide busy bookkeeping: airtime union, idle gaps before accesses
         self._busy_start = 0
         self._last_busy_end = 0
+        self.busy_us = self.idle_us = self.idle_count = 0
         # contention clock: carrier-sense groups of contending stations
         self._groups = {}                # cs_mask -> _Group
         self._group_of = [None] * n      # sid -> _Group once subscribed
@@ -441,13 +441,14 @@ class Medium:
                 if other.end > now:
                     spoil |= cs_mask[other.src]
                     other.spoil |= my_cs
+        else:
+            self._busy_start = now   # this access opens a busy period
         tx.spoil = spoil
 
-        # channel-wide idle gap, logged per access that opens a busy period or co-starts it
-        if not self._active:
-            self._busy_start = now
+        # channel-wide idle gap, counted per access that opens a busy period or co-starts it
         if self._busy_start == now:
-            self.metrics.idle_gaps.append(now - self._last_busy_end)
+            self.idle_us += now - self._last_busy_end
+            self.idle_count += 1
         self._active[src] = tx
 
         for group in self._hit[src]:
@@ -469,7 +470,7 @@ class Medium:
         now = self.sim.now
 
         if not self._active:
-            self.metrics.busy_time += now - self._busy_start
+            self.busy_us += now - self._busy_start
             self._last_busy_end = now
 
         # groups that go idle restart their counts once the frame is handed

@@ -1,7 +1,6 @@
 """Scenario configs, topology generation, run orchestration, CSV emission."""
 
 import contextlib
-import copy
 import csv
 import dataclasses
 import gc
@@ -11,7 +10,7 @@ import weakref
 
 import pytest
 
-from tokendcf import (DATA, ConfigError, FullBufferSource, MacParams, Metrics, Network,
+from tokendcf import (DATA, ConfigError, FullBufferSource, MacParams, Network,
                       PhyParams, ScenarioConfig, Simulation, TokenParams, TrafficSpec,
                       derive_seed, experiments, generate_topology, parse_config, run_scenario,
                       run_sweep, simulate_run)
@@ -294,8 +293,10 @@ def _station_state(net):
              list(st.queue), st.cw, st.retries, st.phase) for st in net.stations]
 
 
-def _metrics_state(metrics):
-    return {name: copy.copy(getattr(metrics, name)) for name in Metrics.__slots__}
+def _counters(net):
+    """The counters a report is summed from: each station's, then the medium's."""
+    return ([(st.attempts, st.failures, st.delay_sum) for st in net.stations],
+            (net.medium.busy_us, net.medium.idle_us, net.medium.idle_count))
 
 
 def test_close_keeps_the_results_and_frees_the_network():
@@ -305,14 +306,14 @@ def test_close_keeps_the_results_and_frees_the_network():
     for src, _dst in net.flows:
         FullBufferSource(net.stations[src]).start()
     report = net.run(200_000)
-    stations, metrics, records = _station_state(net), _metrics_state(net.metrics), list(trace)
+    stations, counters, records = _station_state(net), _counters(net), list(trace)
     assert report.delivered_packets > 0 and len(records) > 0
 
     with gc_off():
         net.close()
         assert net.medium.on_data is None   # the DATA hook's link back to the schedulers
         assert _station_state(net) == stations
-        assert _metrics_state(net.metrics) == metrics
+        assert _counters(net) == counters
         assert trace == records
         for enqueued, delivered, dropped_full, dropped_retry, queue, *_ in stations:
             assert enqueued == delivered + dropped_full + dropped_retry + len(queue)

@@ -20,6 +20,11 @@ def single_flow(**kwargs):
     return Network([(0.0, 0.0), (100.0, 0.0)], [(0, 1)], **kwargs)
 
 
+def failures(net):
+    """ACK timeouts over all the network's stations."""
+    return sum(st.failures for st in net.stations)
+
+
 # -- stations with a known backoff ------------------------------------------
 #
 # The tests below drive the real bookkeeping: a station draws a known
@@ -284,8 +289,8 @@ def test_cw_doubles_on_timeout_up_to_max():
 
 def test_retry_limit_drops_frame_and_resets_cw():
     net, st = unanswered()   # the 8th consecutive failure exceeds retry limit 7
-    assert net.metrics.tx_failures == 8
-    assert net.metrics.tx_attempts == 8
+    assert failures(net) == 8
+    assert sum(s.attempts for s in net.stations) == 8
     assert st.dropped_retry == 1
     assert len(st.queue) == 0
     assert st.cw == 16
@@ -301,7 +306,7 @@ def test_ack_resets_cw_to_min():
     noise_at(net, 30, 50)
     net.run(3000)
     assert st.rng.bounds == [16, 32]
-    assert net.metrics.tx_failures == 1
+    assert failures(net) == 1
     assert st.delivered == 1
     assert st.cw == 16
     assert st.retries == 0
@@ -313,7 +318,7 @@ def test_delivered_ack_queues_no_timeout_for_any_guard():
     def trace(guard):
         net = single_flow(mac=MacParams(ack_timeout_guard=guard), trace=True)
         net.saturate().run(20_000)
-        assert net.metrics.tx_failures == 0
+        assert failures(net) == 0
         return net.trace
 
     reference = trace(20)
@@ -350,7 +355,7 @@ def counted_timeouts():
 
 def check_ack_accounting(net, horizon, fired):
     """Each ACK timeout of a traced network run to ``horizon`` acts, and at its due instant."""
-    assert sum(map(len, fired.values())) == net.metrics.tx_failures
+    assert sum(map(len, fired.values())) == failures(net)
     frames = read_frames(net.medium.trace)
     for st in net.stations:
         # the ends of its DATA frames, the last perhaps still on the air
@@ -424,7 +429,7 @@ def test_half_duplex_guard_queues_the_senders_timeout(guard):
     sent = [(f.start, f.src, f.kind) for f in read_frames(net.trace)]
     assert sent[:3] == [(28, 0, DATA), (data_end + 10, 1, DATA), (data_end + 10, 2, DATA)]
     assert (data_end + 10, 1, ACK) not in sent
-    assert net.metrics.tx_failures == 1
+    assert failures(net) == 1
     assert st0.rng.bounds == [16, 32]     # the retry draws from a doubled window
     assert st0.delivered == 1
 
@@ -450,14 +455,16 @@ def test_saturated_single_sender_delivers_and_conserves():
     assert st.delivered > 0
     assert st.enqueued == st.delivered + st.dropped_full + st.dropped_retry + len(st.queue)
     assert report.throughput_bps == st.delivered * 8 * 500 / 100_000 * 1e6
-    assert net.metrics.tx_failures == 0   # no contender, no losses
+    assert failures(net) == 0   # no contender, no losses
 
 
 def test_access_delay_recorded_per_delivered_packet():
     net = single_flow()
     net.saturate().run(50_000)
-    assert len(net.metrics.access_delays) == net.stations[0].delivered
-    assert all(d > 0 for d in net.metrics.access_delays)
+    st = net.stations[0]
+    # each ACKed packet waited at least its own exchange: DATA, SIFS, ACK
+    assert st.delivered > 0
+    assert st.delay_sum >= st.delivered * (st.data_airtime + st.phy.sifs + st.ack_airtime)
 
 
 def test_sink_sends_no_ack_for_foreign_destination():
@@ -471,11 +478,15 @@ def test_sink_sends_no_ack_for_foreign_destination():
 # -- stations that both send and receive ------------------------------------
 
 def check_bidirectional(net):
-    """Each station's packets are conserved, and an idle station has none queued."""
+    """Each station's packets are conserved, an idle station has none queued, its
+    ACKs count as none of its DATA attempts, and each ACKed packet adds at least
+    its own exchange to its delay sum."""
     for st in net.stations:
         assert st.enqueued == st.delivered + st.dropped_full + st.dropped_retry + len(st.queue)
         assert st.phase != IDLE or not st.queue, (st.sid, len(st.queue))
-    assert sum(st.delivered for st in net.stations) == len(net.metrics.access_delays)
+        assert 0 <= st.attempts - st.delivered - st.failures <= 1, st.sid
+        exchange = st.data_airtime + st.phy.sifs + st.ack_airtime
+        assert st.delay_sum >= st.delivered * exchange, st.sid
 
 
 @pytest.mark.parametrize("protocol", ["dcf", "token_dcf"])

@@ -8,17 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tokendcf import (ACK, DATA, ConfigError, MacFrame, Medium, Metrics,
-                      PhyParams, ScenarioConfig, Simulation, Simulator, Station,
+from tokendcf import (ACK, DATA, ConfigError, MacFrame, Medium, PhyParams,
+                      ScenarioConfig, Simulation, Simulator, Station,
                       derive_seed, generate_topology)
 from tokendcf.medium import MediumError, members, neighbor_tables
 
 from conftest import Recorder, busy_periods, listen, read_frames
 
 
-def make_medium(positions, metrics=None):
+def make_medium(positions):
     sim = Simulator()
-    medium = Medium(sim, positions, metrics or Metrics(), trace=[])
+    medium = Medium(sim, positions, trace=[])
     recorders = [Recorder(i, sim) for i in range(len(positions))]
     medium.bind(recorders)
     return sim, medium, recorders
@@ -273,10 +273,10 @@ def test_medium_geometry_allocates_little(area_side, limit_kb):
     # clique.
     config = ScenarioConfig(n_transmitters=100, area_side=area_side)
     positions, _flows = generate_topology(config, derive_seed(1, 0))
-    sim, metrics = Simulator(), Metrics()
+    sim = Simulator()
     tracemalloc.start()
     try:
-        medium = Medium(sim, positions, metrics)
+        medium = Medium(sim, positions)
         allocated, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -700,22 +700,20 @@ def test_listener_registers_once():
 # -- idle gap metric --------------------------------------------------------
 
 def test_idle_gap_measured_from_last_busy_end():
-    metrics = Metrics()
-    sim, medium, _ = make_medium([(0.0, 0.0), (100.0, 0.0)], metrics)
+    sim, medium, _ = make_medium([(0.0, 0.0), (100.0, 0.0)])
     sim.schedule(1900, lambda: medium.begin_transmission(0, MacFrame(ACK, 0, 1), 10))
     sim.schedule(2000, lambda: medium.begin_transmission(0, MacFrame(ACK, 0, 1), 10))
     sim.run_until(3000)
-    assert metrics.idle_gaps == [1900, 90]
+    assert (medium.idle_us, medium.idle_count) == (1990, 2)
     assert [p.idle_before for p in busy_periods(read_frames(medium.trace))] == [1900, 90]
 
 
 def test_busy_time_accumulates_union_of_intervals():
-    metrics = Metrics()
-    sim, medium, _ = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)], metrics)
+    sim, medium, _ = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
     # overlapping 0..96 and 50..146: one busy interval of 146 us
     medium.begin_transmission(0, data(0, 2), 96)
     sim.schedule(50, lambda: medium.begin_transmission(1, data(1, 2), 96))
     sim.run_until(1000)
-    assert metrics.busy_time == 146
+    assert medium.busy_us == 146
     assert [(p.start, p.end, p.last.src) for p in busy_periods(read_frames(medium.trace))] == \
         [(0, 146, 1)]

@@ -4,12 +4,14 @@ SIFS-gap exactness, disabled-grant equivalence, and collision replay."""
 import math
 from bisect import bisect_left, bisect_right
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokendcf import (ACK, DATA, ScenarioConfig, TokenParams, TrafficSpec,
                       derive_seed)
 from tokendcf.experiments import Simulation
+from tokendcf.mac import AWAIT_ACK
 from tokendcf.medium import members
 from tokendcf.traffic import FULL_BUFFER, PARETO_ON_OFF
 
@@ -44,16 +46,26 @@ def check_conservation(protocol="token_dcf", seed=3, **overrides):
 
 
 def assert_conserved(sim):
-    """Every enqueued packet is delivered, dropped or still queued."""
+    """Every enqueued packet is delivered, dropped or still queued; every DATA
+    attempt is ACKed, timed out or, for at most one, still open."""
     total_delivered = 0
     for stn in sim.stations:
         if stn.dst is None:
             continue
         assert stn.enqueued == (stn.delivered + stn.dropped_full +
                                 stn.dropped_retry + len(stn.queue))
+        assert 0 <= stn.attempts - stn.delivered - stn.failures <= 1, stn.sid
         total_delivered += stn.delivered
-    assert len(sim.metrics.access_delays) == total_delivered
     return total_delivered
+
+
+def senders_mid_exchange(sim):
+    """Senders of a finished traced run whose DATA exchange is open at the horizon:
+    awaiting the ACK, or with the DATA frame still on the air."""
+    on_air = {f.src for f in read_frames(sim.medium.trace)
+              if f.kind == DATA and f.delivered is None}
+    return {stn.sid for stn in sim.stations
+            if stn.dst is not None and (stn.phase == AWAIT_ACK or stn.sid in on_air)}
 
 
 def check_single_privilege(seed=3):
@@ -221,14 +233,14 @@ def test_collision_replay_multihop():
                                   duration_s=0.3) > 0
 
 
-def test_idle_gaps_and_busy_time_partition_horizon():
+def test_idle_and_busy_time_partition_horizon():
     # single sender: every busy period is opened by exactly one access, so
     # busy time plus the recorded gaps tiles the horizon (minus the tail)
     sim = build("dcf", trace=False, n_transmitters=1)
     horizon = sim.run().horizon_us
-    m = sim.metrics
-    assert all(g >= 0 for g in m.idle_gaps)
-    covered = m.busy_time + sum(m.idle_gaps)
+    medium = sim.medium
+    assert medium.idle_us >= 0
+    covered = medium.busy_us + medium.idle_us
     assert covered <= horizon
     # the uncovered residual is smaller than one contention cycle
     assert horizon - covered < 300
@@ -237,9 +249,9 @@ def test_idle_gaps_and_busy_time_partition_horizon():
 def test_busy_time_bounded_with_contention():
     sim = build("dcf", trace=False)
     horizon = sim.run().horizon_us
-    m = sim.metrics
-    assert 0 < m.busy_time <= horizon
-    assert all(g >= 0 for g in m.idle_gaps)
+    medium = sim.medium
+    assert 0 < medium.busy_us <= horizon
+    assert medium.idle_us >= 0
 
 
 @settings(max_examples=8, deadline=None)
@@ -264,3 +276,37 @@ def test_random_multihop_fields_conserve_and_replay(seed, n, side, protocol, kin
     sim.run()
     assert_conserved(sim)
     assert_replayed(sim)
+
+
+def test_each_data_attempt_is_acked_timed_out_or_open():
+    # per sender, from a clique to sparse Pareto fields: an attempt not yet
+    # ACKed nor timed out is the one exchange still open at the horizon
+    open_total = 0
+    for protocol in ("dcf", "token_dcf"):
+        for side, kind in ((150.0, FULL_BUFFER), (800.0, PARETO_ON_OFF), (1500.0, PARETO_ON_OFF)):
+            traffic = TrafficSpec(kind=kind, packet_size=1500, rate_bps=1e7)
+            sim = build(protocol, seed=11, n_transmitters=10, area_side=side,
+                        duration_s=0.1, traffic=traffic)
+            sim.run()
+            mid_exchange = senders_mid_exchange(sim)
+            for stn in sim.stations:
+                if stn.dst is not None:
+                    left = stn.attempts - stn.delivered - stn.failures
+                    assert left == (stn.sid in mid_exchange), (protocol, side, stn.sid)
+            open_total += len(mid_exchange)
+    assert open_total > 0
+
+
+@pytest.mark.parametrize("protocol", ["dcf", "token_dcf"])
+@pytest.mark.parametrize("n", [5, 20])
+def test_idle_gap_counted_once_per_access_that_starts_a_busy_period(protocol, n):
+    # idle_slots averages a busy period's idle gap over the accesses that open
+    # it or co-start it, so a collision of k frames weighs its gap k times.
+    # Counting each gap once (ROADMAP item 5(b)) would flip this test.
+    sim = build(protocol, n_transmitters=n, duration_s=0.3)
+    sim.run()
+    periods = busy_periods(read_frames(sim.medium.trace))
+    gaps = [p.idle_before for p in periods for f in p.frames if f.start == p.start]
+    assert sim.medium.idle_count == len(gaps)
+    assert sim.medium.idle_us == sum(gaps)
+    assert len(gaps) > len(periods)   # some accesses co-started
