@@ -6,12 +6,13 @@ the DATA/ACK exchange with binary exponential backoff on ACK timeout.  The
 timeout is scheduled, ``ack_timeout_us`` after the DATA frame's end, only
 once the ACK is known to be lost (``ack_lost``): the DATA frame missed its
 addressee, the addressee was transmitting when its ACK was due
-(half-duplex), or the ACK missed the station.  So every timeout acts.  When
-a token scheduler is attached, the access plan may collapse to a bare SIFS
-wait (privileged access), and every data frame sent or decoded feeds the
-scheduler: the network's DATA hook on the medium hands it each decoded
-header, after the addressed ``on_frame``, and calls the station's
-``on_grant`` when a decoded frame names it.
+(half-duplex), or the ACK missed the station.  So every timeout acts.  A
+decoded frame reaches a station by two routes: the medium hands ``on_frame``
+only the frames addressed to it, and a token scheduler takes, besides its
+station's own DATA headers, every decoded one, addressed or overheard, from
+the network's DATA hook on the medium, which calls the station's
+``on_grant`` when a header names it.  The access plan may then collapse to
+a bare SIFS wait (privileged access).
 
 A station has at most one frame on the air, so it reuses its frames, built at
 first use: one DATA frame, whose scheduling fields the token layer rewrites at
@@ -148,13 +149,14 @@ class Station:
         self._resume_wait()
 
     def fire_access(self):
-        """Backoff/SIFS wait elapsed with the channel idle: transmit."""
+        """Backoff/SIFS wait elapsed with the channel idle: transmit.
+
+        A packet is queued: a station starts contending only with one, and
+        its queue shrinks only while it awaits an ACK.
+        """
         self.registered = False
         if self.scheduler is not None:
             self.scheduler.on_timer_expired()   # privilege is one-shot
-        if not self.queue:
-            self.phase = IDLE
-            return
         self._transmit_data()
 
     def _transmit_data(self):
@@ -187,23 +189,23 @@ class Station:
     # -- reception ---------------------------------------------------------
 
     def on_frame(self, frame):
-        """A frame was delivered (decoded) at this station.
+        """A frame addressed to this station was decoded here.
 
-        The medium calls it for frames addressed here; a token station's
-        scheduler gets every decoded data frame through the medium's hook.
+        The medium calls it only for this station's own frames; overheard
+        DATA headers reach a token station's scheduler through the medium's
+        DATA hook instead.
         """
         if frame.kind == ACK:
-            if frame.dst == self.sid and self.phase == AWAIT_ACK:
+            if self.phase == AWAIT_ACK:
                 self._ack_received()
             return
-        if frame.dst == self.sid:
-            acks = self._acks or {}
-            send = acks.get(frame.src)
-            if send is None:
-                send = acks[frame.src] = partial(
-                    self._send_ack, MacFrame(ACK, self.sid, frame.src))
-                self._acks = acks
-            self.sim.schedule(self.phy.sifs, send)
+        acks = self._acks or {}
+        send = acks.get(frame.src)
+        if send is None:
+            send = acks[frame.src] = partial(
+                self._send_ack, MacFrame(ACK, self.sid, frame.src))
+            self._acks = acks
+        self.sim.schedule(self.phy.sifs, send)
 
     def on_grant(self):
         """A decoded data frame, addressed or overheard, named this station privileged."""

@@ -4,11 +4,12 @@ The interference rule is the protocol model: a receiver decodes a frame only
 if it sits within tx_range of the source and no other transmission from
 within the receiver's cs_range overlapped the frame (any overlap corrupts,
 no capture effect).  A station that transmits itself during the overlap is
-corrupted too (half-duplex).  Propagation delay is zero.  A decoded frame goes
-to the addressed station's ``on_frame``, then a DATA frame to the ``on_data``
-hook once, with the mask of every listener that decoded it, addressed or not.
-Last, the source's ``on_tx_complete(frame, delivered)`` learns whether the
-addressed station decoded the frame.
+corrupted too (half-duplex).  Propagation delay is zero.  A decoded frame
+reaches stations by two routes only: the addressed station's ``on_frame``,
+which takes no other station's frames, then, for DATA, the ``on_data`` hook,
+called once with the mask of every listener that decoded the frame,
+addressed or not.  Last, the source's ``on_tx_complete(frame, delivered)``
+learns whether the addressed station decoded the frame.
 
 Neighbour sets are int bit masks.  Bit b of tx_mask[a] is set exactly
 when b lies within tx_range of a (a itself excluded), and bit b of
@@ -271,7 +272,8 @@ class Medium:
         A DATA frame that listeners decode is handed once to the hook
         ``on_data(frame, listened)``, after the addressed station's
         ``on_frame``; bit b of ``listened`` is set for each listener b that
-        decoded it.  A station registers once.
+        decoded it.  Listening adds no ``on_frame`` call: that route takes
+        addressed frames only.  A station registers once.
         """
         if self._listen >> sid & 1:
             raise MediumError(f"station {sid} already listens")

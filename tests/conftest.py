@@ -109,23 +109,6 @@ class SchedulerOracle:
             self.fail = 0
 
 
-def listen(medium, callbacks):
-    """Register the stations of ``callbacks``, sid -> ``callback(frame)``, as listeners.
-
-    Installs the medium's DATA hook: for each DATA frame, it calls the
-    callback of every listener in the frame's mask, in ascending id.
-    """
-    for sid in callbacks:
-        medium.register_listener(sid)
-
-    def on_data(frame, listened):
-        for sid in sorted(callbacks):
-            if listened >> sid & 1:
-                callbacks[sid](frame)
-
-    medium.on_data = on_data
-
-
 @dataclass(slots=True)
 class AiredFrame:
     """One frame of the medium's trace.  ``delivered`` and ``corrupted`` are its

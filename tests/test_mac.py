@@ -3,6 +3,7 @@
 import bisect
 import collections
 import contextlib
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,7 @@ from tokendcf import (DATA, ACK, MacFrame, MacParams, ScenarioConfig, Simulation
 from tokendcf.traffic import FullBufferSource, make_source
 from tokendcf.mac import ACCEPTED, DROPPED, IDLE, WAITING
 
-from conftest import Network, Recorder, listen, read_frames
+from conftest import Network, Recorder, read_frames
 
 
 def single_flow(**kwargs):
@@ -470,9 +471,76 @@ def test_access_delay_recorded_per_delivered_packet():
 def test_sink_sends_no_ack_for_foreign_destination():
     # 0 -> 1; station 2 also decodes the frame but must stay silent
     net = Network([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)], [(0, 1)], trace=True)
-    listen(net.medium, {2: net.stations[2].on_frame})
     net.saturate().run(5_000)
-    assert {f.src for f in read_frames(net.trace) if f.kind == ACK} == {1}
+    frames = read_frames(net.trace)
+    # 2 is in range of 0 and nothing overlaps: it decodes every 0 -> 1 frame
+    assert net.medium.tx_mask[0] >> 2 & 1
+    assert not any(f.corrupted for f in frames)
+    assert {f.src for f in frames if f.kind == ACK} == {1}
+
+
+# -- what the medium and the MAC's own transitions guarantee a station -------
+#
+# ``on_frame`` compares no frame's destination with the station: the medium
+# hands it addressed frames only.  ``fire_access`` checks no queue: a station
+# starts contending only with a packet queued, and its queue shrinks only at
+# its ACK or its ACK timeout, both of which come while it awaits an ACK.
+
+PARETO = TrafficSpec(kind="pareto_on_off", packet_size=1500, rate_bps=1e6)
+TWO_WAY = [(0.0, 0.0), (100.0, 0.0), (0.0, 150.0), (100.0, 150.0)]
+
+
+def generated(protocol, seed, **kw):
+    """Run the first run of a generated scenario of ``kw`` under ``protocol``."""
+    config = ScenarioConfig(protocol=protocol, seed=seed, **kw)
+    return Simulation(config, derive_seed(seed, 0)).run()
+
+
+CONTRACT_RUNS = {
+    f"clique20-{protocol}-s{seed}": partial(
+        generated, protocol, seed, n_transmitters=20, area_side=150.0, duration_s=0.05)
+    for protocol in ("dcf", "token_dcf") for seed in (1, 7919)
+} | {
+    # retry-limit drops empty some queues here
+    f"pareto800-{protocol}-s{seed}": partial(
+        generated, protocol, seed, n_transmitters=30, area_side=800.0, duration_s=0.2,
+        traffic=PARETO)
+    for protocol in ("dcf", "token_dcf") for seed in (1, 2)
+} | {
+    "two-way-token": lambda: Network(TWO_WAY, [(0, 1), (1, 0), (2, 3), (3, 2)],
+                                     protocol="token_dcf").saturate().run(50_000),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_RUNS)
+def test_on_frame_takes_addressed_frames_and_access_fires_with_a_packet(monkeypatch, name):
+    on_frame, fire_access, ack_timeout = (Station.on_frame, Station.fire_access,
+                                          Station._ack_timeout)
+    calls = collections.Counter()
+
+    def addressed(st, frame):
+        assert frame.dst == st.sid, (st.sid, frame)
+        calls["on_frame"] += 1
+        on_frame(st, frame)
+
+    def with_a_packet(st):
+        assert st.queue, st.sid
+        calls["fire_access"] += 1
+        fire_access(st)
+
+    def timed_out(st):
+        dropped = st.dropped_retry
+        ack_timeout(st)
+        if st.dropped_retry > dropped and not st.queue:
+            calls["drop_emptied_queue"] += 1
+
+    monkeypatch.setattr(Station, "on_frame", addressed)
+    monkeypatch.setattr(Station, "fire_access", with_a_packet)
+    monkeypatch.setattr(Station, "_ack_timeout", timed_out)
+    CONTRACT_RUNS[name]()
+    assert calls["on_frame"] > 0 and calls["fire_access"] > 0
+    if name.startswith("pareto800"):
+        assert calls["drop_emptied_queue"] > 0
 
 
 # -- stations that both send and receive ------------------------------------

@@ -13,7 +13,7 @@ from tokendcf import (ACK, DATA, ConfigError, MacFrame, Medium, PhyParams,
                       derive_seed, generate_topology)
 from tokendcf.medium import MediumError, members, neighbor_tables
 
-from conftest import Recorder, busy_periods, listen, read_frames
+from conftest import Recorder, busy_periods, read_frames
 
 
 def make_medium(positions):
@@ -31,6 +31,15 @@ def data(src, dst, payload=500):
 def frames_at(recorder):
     """Frames the medium delivered (decoded) at a recorder station."""
     return [f for _, kind, f in recorder.events if kind == "frame"]
+
+
+def overheard(medium, *listeners):
+    """Register ``listeners`` and record each DATA hook call: (frame, listener ids)."""
+    for sid in listeners:
+        medium.register_listener(sid)
+    calls = []
+    medium.on_data = lambda frame, listened: calls.append((frame, tuple(members(listened))))
+    return calls
 
 
 def ends(medium):
@@ -465,22 +474,24 @@ def test_recorder_stub_has_the_station_callbacks():
 
 def test_clean_frame_delivered_to_all_in_range():
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
-    listen(medium, {2: recorders[2].on_frame})
+    calls = overheard(medium, 2)
     frame = data(0, 1)
     medium.begin_transmission(0, frame, 96)
     sim.run_until(96)
     assert corrupted(medium)[0] == ()
     assert frames_at(recorders[1]) == [frame]
-    assert frames_at(recorders[2]) == [frame]
+    assert calls == [(frame, (2,))]
+    assert frames_at(recorders[2]) == []   # overheard: not handed to on_frame
 
 
 def test_receiver_beyond_tx_range_not_decodable():
     sim, medium, recorders = make_medium([(0.0, 0.0), (300.0, 0.0)])
-    listen(medium, {1: recorders[1].on_frame})
+    calls = overheard(medium, 1)
     medium.begin_transmission(0, data(0, 1), 96)
     sim.run_until(96)
     assert corrupted(medium)[0] == ()   # not corrupted: out of decoding range
     assert frames_at(recorders[1]) == []
+    assert calls == []
 
 
 def test_overlapping_frames_corrupt_common_receiver():
@@ -541,14 +552,14 @@ def test_third_overlap_spoils_receiver_that_senses_only_it():
     # overlaps spoil a receiver of 0, each a different one
     sim, medium, recorders = make_medium(
         [(0.0, 0.0), (100.0, 0.0), (-700.0, 0.0), (500.0, 0.0), (-200.0, 0.0)])
-    listen(medium, {4: recorders[4].on_frame})
+    calls = overheard(medium, 4)
     medium.begin_transmission(0, data(0, 1), 96)
     sim.schedule(10, lambda: medium.begin_transmission(2, data(2, 2), 96))
     sim.schedule(20, lambda: medium.begin_transmission(3, data(3, 3), 96))
     sim.run_until(200)
     assert ends(medium)[0] == ((), (1, 4))
     assert frames_at(recorders[1]) == []
-    assert frames_at(recorders[4]) == []
+    assert calls == []
 
 
 def test_overlap_splits_overhearers_by_its_carrier_sense_range():
@@ -556,25 +567,25 @@ def test_overlap_splits_overhearers_by_its_carrier_sense_range():
     # neither 3 (900 m) nor 1 (707 m)
     sim, medium, recorders = make_medium(
         [(0.0, 0.0), (0.0, 100.0), (200.0, 0.0), (-200.0, 0.0), (700.0, 0.0)])
-    listen(medium, {2: recorders[2].on_frame, 3: recorders[3].on_frame})
+    calls = overheard(medium, 2, 3)
     frame = data(0, 1)
     medium.begin_transmission(0, frame, 96)
     sim.schedule(50, lambda: medium.begin_transmission(4, data(4, 4), 96))
     sim.run_until(200)
     assert ends(medium)[0] == ((1, 3), (2,))
     assert frames_at(recorders[1]) == [frame]
-    assert frames_at(recorders[2]) == []
-    assert frames_at(recorders[3]) == [frame]
+    assert calls == [(frame, (3,))]
 
 
 def test_source_does_not_receive_own_frame():
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0)])
-    listen(medium, {0: recorders[0].on_frame})
+    calls = overheard(medium, 0)
     medium.begin_transmission(0, data(0, 1), 96)
     sim.run_until(100)
     medium.begin_transmission(0, data(0, 0), 96)   # addressed to itself
     sim.run_until(200)
     assert frames_at(recorders[0]) == []
+    assert calls == []
     assert [t for t, kind, _ in recorders[0].events if kind == "tx_complete"] == [96, 196]
 
 
@@ -639,11 +650,12 @@ def test_addressed_frame_dispatched_to_receiver_mac():
 
 def test_listener_overhears_data_frames():
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
-    listen(medium, {2: recorders[2].on_frame})
+    calls = overheard(medium, 2)
     frame = data(0, 1)
     medium.begin_transmission(0, frame, 96)
     sim.run_until(96)
-    assert [f for _, kind, f in recorders[2].events if kind == "frame"] == [frame]
+    assert calls == [(frame, (2,))]
+    assert frames_at(recorders[2]) == []   # listening adds no on_frame call
 
 
 def test_listeners_get_one_hook_call_with_their_mask():
@@ -680,8 +692,7 @@ def test_addressed_listener_gets_on_frame_then_one_hook_call():
 
 def test_ack_reaches_no_listener():
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
-    calls = []
-    listen(medium, {0: calls.append, 2: calls.append})
+    calls = overheard(medium, 0, 2)
     ack = MacFrame(ACK, 1, 0)
     medium.begin_transmission(1, ack, 19)
     sim.run_until(19)
