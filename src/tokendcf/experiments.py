@@ -241,7 +241,6 @@ class Network:
         _check_positions(positions)
         _check_flows(positions, flows)
         self.config = config
-        self.run_seed = run_seed
         self.positions = positions
         self.flows = flows
         self.sim = Simulator()

@@ -12,7 +12,8 @@ only the frames addressed to it, and a token scheduler takes, besides its
 station's own DATA headers, every decoded one, addressed or overheard, from
 the network's DATA hook on the medium, which calls the station's
 ``on_grant`` when a header names it.  The access plan may then collapse to
-a bare SIFS wait (privileged access).
+a bare SIFS wait (privileged access).  The privilege ends with the holder's
+next DATA header, or with any decoded header that names another station.
 
 A station has at most one frame on the air, so it reuses its frames, built at
 first use: one DATA frame, whose scheduling fields the token layer rewrites at
@@ -155,8 +156,6 @@ class Station:
         its queue shrinks only while it awaits an ACK.
         """
         self.registered = False
-        if self.scheduler is not None:
-            self.scheduler.on_timer_expired()   # privilege is one-shot
         self._transmit_data()
 
     def _transmit_data(self):
@@ -193,11 +192,12 @@ class Station:
 
         The medium calls it only for this station's own frames; overheard
         DATA headers reach a token station's scheduler through the medium's
-        DATA hook instead.
+        DATA hook instead.  An ACK finds the station awaiting it: one is sent
+        only for a decoded DATA frame, and the timeout is scheduled only once
+        the ACK is known lost.
         """
         if frame.kind == ACK:
-            if self.phase == AWAIT_ACK:
-                self._ack_received()
+            self._ack_received()
             return
         acks = self._acks or {}
         send = acks.get(frame.src)

@@ -3,17 +3,20 @@
 Each scheduler keeps one table, ``heard``: every source whose DATA header it
 decoded this period (its own transmissions included), to the queue length
 that source last advertised.  Every data frame a station sends names at most
-one privileged station (drawn with probability p from ``heard``, picking
-the longest queue).  The DATA hook ``overhear`` applies each header the
-medium decodes to all the schedulers that decoded it, addressed or
-overheard, in one pass.  A frame that names you sets your flag, and the hook
-then calls your station's grant callback, which the network hands it beside
-the schedulers, so that the grant reaches an access already planned; a set
-flag turns the next channel access into a bare SIFS wait.  The Adapt step
-moves p up or down by delta by how many transmissions came from sources
-already in ``heard``.  One event per network, ``start_period_clock``,
-resets every scheduler in ascending id each ``period_us`` (p and the counts
-to 0, ``heard`` to the station alone), then reschedules itself.
+one privileged station (drawn with probability p from ``heard``, picking the
+longest queue).  The DATA hook ``overhear`` applies each header the medium
+decodes to all the schedulers that decoded it, addressed or overheard, in
+one pass.  Each header applied sets the flag to whether it names you, so a
+privilege ends with the holder's next DATA header, which it applies to
+itself, or with any decoded header that names another station.  A header
+that names you makes the hook call your station's grant callback, which the
+network hands it beside the schedulers, so that the grant reaches an access
+already planned; a set flag turns the next channel access into a bare SIFS
+wait.  The Adapt step moves p up or down by delta by how many transmissions
+came from sources already in ``heard``.  One event per network,
+``start_period_clock``, resets every scheduler in ascending id each
+``period_us`` (p and the counts to 0, ``heard`` to the station alone), then
+reschedules itself.
 """
 
 from .medium import members
@@ -65,9 +68,6 @@ class TokenScheduler:
         frame.privileged = priv
         frame.q_len = own_queue_len
         apply_header((self,), self.sid, priv, own_queue_len)
-
-    def on_timer_expired(self):
-        self.flag = 0
 
 
 def start_period_clock(sim, schedulers, period_us):

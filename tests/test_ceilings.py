@@ -4,13 +4,19 @@ A chain is one sender granting itself every time: DATA + SIFS + ACK + SIFS,
 back to back.  No MAC on a PHY delivers more, so the default PHY's ceiling
 bounds what criteria 1, 2, 3 and 7 can ask of Token-DCF.  The forced chain
 also runs on ROADMAP item 13's OFDM and DSSS timings, whose DIFS of 34 and
-50 us follow from SIFS + 2 slots.
+50 us follow from SIFS + 2 slots.  The other oracle is Bianchi's fixed point:
+a saturated DCF clique's collision frequency lies within the benchmark's
+tolerance of it.
 """
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 import tokendcf.experiments
-from tokendcf import DATA, MacParams, PhyParams, TokenScheduler, frame_airtime
+from tokendcf import (DATA, MacParams, PhyParams, ScenarioConfig, TokenScheduler,
+                      TrafficSpec, frame_airtime, run_scenario)
 
 from conftest import Network, read_frames
 
@@ -68,3 +74,27 @@ def test_forced_chain_runs_at_the_ceiling(monkeypatch, payload, phy):
     assert delivered(latest) <= report.delivered_packets <= delivered(phy.difs)
     ceiling = 8 * payload / period * 1e6
     assert ceiling * (horizon - latest - period) / horizon <= report.throughput_bps <= ceiling
+
+
+# -- Bianchi's fixed point ----------------------------------------------------
+
+BIANCHI_TOLERANCE = 0.06    # perfbench/run.py's bound on |collision_freq - p|
+
+
+def _bianchi():
+    """perfbench/bianchi.py, loaded from its file, so the test uses the benchmark's model."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "bianchi.py"
+    spec = importlib.util.spec_from_file_location("perfbench_bianchi", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", [5, 10, 20, 30])
+def test_dcf_collisions_match_bianchi(n):
+    config = ScenarioConfig(protocol="dcf", n_transmitters=n, area_side=150.0,
+                            duration_s=2.0, runs=2, seed=1,
+                            traffic=TrafficSpec(packet_size=500))
+    simulated = run_scenario(config).averages["collision_freq"]
+    p = _bianchi().dcf_collision_probability(n, MAC.cw_min, MAC.cw_max)
+    assert simulated == pytest.approx(p, abs=BIANCHI_TOLERANCE)

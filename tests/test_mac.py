@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tokendcf import (DATA, ACK, MacFrame, MacParams, ScenarioConfig, Simulation,
                       Station, TrafficSpec, derive_seed, frame_airtime)
 from tokendcf.traffic import FullBufferSource, make_source
-from tokendcf.mac import ACCEPTED, DROPPED, IDLE, WAITING
+from tokendcf.mac import ACCEPTED, AWAIT_ACK, DROPPED, IDLE, WAITING
 
 from conftest import Network, Recorder, read_frames
 
@@ -482,9 +482,13 @@ def test_sink_sends_no_ack_for_foreign_destination():
 # -- what the medium and the MAC's own transitions guarantee a station -------
 #
 # ``on_frame`` compares no frame's destination with the station: the medium
-# hands it addressed frames only.  ``fire_access`` checks no queue: a station
+# hands it addressed frames only.  Nor does it check that an ACK is awaited:
+# an ACK is sent only for a decoded DATA frame, and the timeout is scheduled
+# only once the ACK is known lost.  ``fire_access`` checks no queue: a station
 # starts contending only with a packet queued, and its queue shrinks only at
-# its ACK or its ACK timeout, both of which come while it awaits an ACK.
+# its ACK or its ACK timeout, both of which come while it awaits an ACK.  Nor
+# does it clear the token flag: the sender's own DATA header sets the flag to
+# whether it names the sender, and nothing else in the access writes it.
 
 PARETO = TrafficSpec(kind="pareto_on_off", packet_size=1500, rate_bps=1e6)
 TWO_WAY = [(0.0, 0.0), (100.0, 0.0), (0.0, 150.0), (100.0, 150.0)]
@@ -520,13 +524,21 @@ def test_on_frame_takes_addressed_frames_and_access_fires_with_a_packet(monkeypa
 
     def addressed(st, frame):
         assert frame.dst == st.sid, (st.sid, frame)
-        calls["on_frame"] += 1
+        if frame.kind == ACK:
+            assert st.phase == AWAIT_ACK, st.sid
+            calls["ack"] += 1
         on_frame(st, frame)
 
     def with_a_packet(st):
         assert st.queue, st.sid
         calls["fire_access"] += 1
         fire_access(st)
+        # checked once the DATA frame is on the air: a flag reset anywhere
+        # after the sender's own header shows here
+        if st.scheduler is not None:
+            granted = st._data.privileged == st.sid
+            assert st.scheduler.flag == granted, st.sid
+            calls["self_grant"] += granted
 
     def timed_out(st):
         dropped = st.dropped_retry
@@ -538,7 +550,9 @@ def test_on_frame_takes_addressed_frames_and_access_fires_with_a_packet(monkeypa
     monkeypatch.setattr(Station, "fire_access", with_a_packet)
     monkeypatch.setattr(Station, "_ack_timeout", timed_out)
     CONTRACT_RUNS[name]()
-    assert calls["on_frame"] > 0 and calls["fire_access"] > 0
+    assert calls["ack"] > 0 and calls["fire_access"] > 0
+    if "token" in name:
+        assert calls["self_grant"] > 0
     if name.startswith("pareto800"):
         assert calls["drop_emptied_queue"] > 0
 

@@ -124,9 +124,13 @@ def test_overheard_grant_to_other_clears_my_flag():
 
 
 def test_privilege_is_one_shot():
+    # the holder's own next DATA header ends the privilege: at p = 0 it names
+    # no station, and applying it to the sender clears the flag
     _, sched = make_sched(sid=3)
     sched.flag = 1
-    sched.on_timer_expired()
+    frame = data(3)
+    sched.on_transmit_data(frame, 5)
+    assert frame.privileged is None
     assert sched.flag == 0
 
 
