@@ -80,8 +80,6 @@ class Station:
         self.data_airtime = frame_airtime(self.data_header_bytes, payload_bytes, self.phy)
         self.ack_airtime = frame_airtime(mac.ack_header_bytes, 0, self.phy)
         self.ack_timeout_us = self.phy.sifs + self.ack_airtime + mac.ack_timeout_guard
-        if scheduler is not None:
-            medium.register_listener(sid)
 
     def close(self):
         """Break the cycles through this station's source and its ACK events, which hold it."""

@@ -6,10 +6,11 @@ within the receiver's cs_range overlapped the frame (any overlap corrupts,
 no capture effect).  A station that transmits itself during the overlap is
 corrupted too (half-duplex).  Propagation delay is zero.  A decoded frame
 reaches stations by two routes only: the addressed station's ``on_frame``,
-which takes no other station's frames, then, for DATA, the ``on_data`` hook,
-called once with the mask of every listener that decoded the frame,
-addressed or not.  Last, the source's ``on_tx_complete(frame, delivered)``
-learns whether the addressed station decoded the frame.
+which takes no other station's frames, then, for DATA, the ``on_data`` hook
+that ``listen(listeners, hook)`` installs with its listener mask, called once
+with the mask of every listener that decoded the frame, addressed or not.
+Last, the source's ``on_tx_complete(frame, delivered)`` learns whether the
+addressed station decoded the frame.
 
 Neighbour sets are int bit masks.  Bit b of tx_mask[a] is set exactly
 when b lies within tx_range of a (a itself excluded), and bit b of
@@ -221,7 +222,7 @@ class Medium:
         self.stations = {}       # sid -> station object, bound via bind()
         self._active = {}        # src -> ActiveTransmission
         self._records = [None] * n   # src -> its ActiveTransmission, built at its first frame
-        # stations that take every decoded DATA frame, as bit sid
+        # stations that take every decoded DATA frame, as bit sid, set by listen()
         self._listen = 0
         self.on_data = None      # their hook, on_data(frame, listened)
         # channel-wide busy bookkeeping: airtime union, idle gaps before accesses
@@ -266,18 +267,17 @@ class Medium:
         self._group_of[sid] = group
         return group
 
-    def register_listener(self, sid):
-        """Have ``sid`` take every DATA frame it decodes, addressed or overheard.
+    def listen(self, listeners, hook):
+        """Have the stations of mask ``listeners`` take every DATA frame they decode.
 
-        A DATA frame that listeners decode is handed once to the hook
-        ``on_data(frame, listened)``, after the addressed station's
+        A DATA frame that listeners decode is handed once to
+        ``hook(frame, listened)``, after the addressed station's
         ``on_frame``; bit b of ``listened`` is set for each listener b that
         decoded it.  Listening adds no ``on_frame`` call: that route takes
-        addressed frames only.  A station registers once.
+        addressed frames only.
         """
-        if self._listen >> sid & 1:
-            raise MediumError(f"station {sid} already listens")
-        self._listen |= 1 << sid
+        self._listen = listeners
+        self.on_data = hook
 
     # -- sensing ----------------------------------------------------------
 

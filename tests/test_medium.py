@@ -34,11 +34,10 @@ def frames_at(recorder):
 
 
 def overheard(medium, *listeners):
-    """Register ``listeners`` and record each DATA hook call: (frame, listener ids)."""
-    for sid in listeners:
-        medium.register_listener(sid)
+    """Have ``listeners`` listen and record each DATA hook call: (frame, listener ids)."""
     calls = []
-    medium.on_data = lambda frame, listened: calls.append((frame, tuple(members(listened))))
+    medium.listen(sum(1 << sid for sid in listeners),
+                  lambda frame, listened: calls.append((frame, tuple(members(listened)))))
     return calls
 
 
@@ -659,15 +658,13 @@ def test_listener_overhears_data_frames():
 
 
 def test_listeners_get_one_hook_call_with_their_mask():
-    # 0 -> 1 is heard by listeners 2, 3 and 4, registered out of id order
+    # 0 -> 1 is heard by listeners 2, 3 and 4
     sim, medium, recorders = make_medium(
         [(0.0, 0.0), (100.0, 0.0), (0.0, 100.0), (-100.0, 0.0), (0.0, -100.0)])
     calls = []
     recorders[1].on_frame = lambda frame: calls.append(("on_frame", frame))
-    for sid in (4, 2, 3):
-        medium.register_listener(sid)
-    medium.on_data = lambda frame, listened: calls.append(
-        ("on_data", frame, tuple(members(listened))))
+    medium.listen(0b11100, lambda frame, listened: calls.append(
+        ("on_data", frame, tuple(members(listened)))))
     frame = data(0, 1)
     medium.begin_transmission(0, frame, 96)
     sim.run_until(96)
@@ -675,14 +672,12 @@ def test_listeners_get_one_hook_call_with_their_mask():
 
 
 def test_addressed_listener_gets_on_frame_then_one_hook_call():
-    # 0 -> 1, where the addressed 1 listens too, registered after listener 2
+    # 0 -> 1, where the addressed 1 listens too, beside listener 2
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
     calls = []
     recorders[1].on_frame = lambda frame: calls.append(("on_frame", 1, frame))
-    for sid in (2, 1):
-        medium.register_listener(sid)
-    medium.on_data = lambda frame, listened: calls.append(
-        ("on_data", tuple(members(listened)), frame))
+    medium.listen(0b110, lambda frame, listened: calls.append(
+        ("on_data", tuple(members(listened)), frame)))
     frame = data(0, 1)
     medium.begin_transmission(0, frame, 96)
     sim.run_until(96)
@@ -699,13 +694,6 @@ def test_ack_reaches_no_listener():
     assert calls == []
     assert frames_at(recorders[0]) == [ack]
     assert ends(medium)[1] == ((0,), ())
-
-
-def test_listener_registers_once():
-    _, medium, _ = make_medium([(0.0, 0.0), (100.0, 0.0)])
-    medium.register_listener(1)
-    with pytest.raises(MediumError):
-        medium.register_listener(1)
 
 
 # -- idle gap metric --------------------------------------------------------

@@ -286,16 +286,22 @@ def test_reused_data_frame_carries_its_own_header(monkeypatch, protocol):
                   [(i, n + i) for i in range(n)], ScenarioConfig(protocol=protocol), run_seed=1)
     if protocol == "token_dcf":
         hook = net.medium.on_data
+        assert hook is not None
 
         def on_data(frame, listened):
+            assert listened >> n == 0   # only the flow sources 0..n-1 listen
             read.append((frame.privileged, frame.q_len))
             assert written[frame.src][-1] == (frame, frame.privileged, frame.q_len)
             hook(frame, listened)
 
         net.medium.on_data = on_data
+    else:
+        assert net.medium.on_data is None   # a DCF network has no DATA hook
     for st in net.stations[:n]:
         st.enqueue_packet(50)   # no refill, so q_len falls frame by frame
     net.run(100_000)
+    if protocol == "dcf":
+        assert net.medium.on_data is None   # nor did its run install one
     net.close()
     assert sorted(ended) == list(range(n))
     for frames in ended.values():
