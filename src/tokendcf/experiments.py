@@ -269,7 +269,7 @@ class Network:
         if use_token:   # the flow sources, each with a scheduler, take every decoded header
             self.medium.listen(sum(1 << src for src in dsts),
                                partial(overhear, [st.scheduler for st in self.stations],
-                                       [st.on_grant for st in self.stations], {}))
+                                       self.medium.withdraw_access, {}))
 
     def run(self, horizon_us):
         """Run the event loop to ``horizon_us`` and report the run so far."""
@@ -280,8 +280,8 @@ class Network:
     def close(self):
         """Break the run's reference cycles, so that dropping the network frees it.
 
-        The pending events, the medium's station table, DATA hook (holding each
-        station's ``on_grant``) and frame-end events, and each station's source
+        The pending events, the medium's station table, DATA hook (holding the
+        medium's ``withdraw_access``) and frame-end events, and each station's source
         and ACK events tie the run's objects into cycles only a ``gc`` pass frees.
         The station and medium counters, the queues and the trace stay
         readable.  The pending events are dropped, so a closed network must

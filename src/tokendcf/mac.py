@@ -10,10 +10,14 @@ addressee, the addressee was transmitting when its ACK was due
 decoded frame reaches a station by two routes: the medium hands ``on_frame``
 only the frames addressed to it, and a token scheduler takes, besides its
 station's own DATA headers, every decoded one, addressed or overheard, from
-the network's DATA hook on the medium, which calls the station's
-``on_grant`` when a header names it.  The access plan may then collapse to
-a bare SIFS wait (privileged access).  The privilege ends with the holder's
-next DATA header, or with any decoded header that names another station.
+the network's DATA hook on the medium, which withdraws the station's
+frozen backoff from the medium when a header names it.  The medium asks the
+station for its access plan, ``plan(slots)``, whenever it starts counting
+one: when the station contends on an idle channel, and at each idle edge
+while its access is frozen.  The plan collapses to a bare SIFS wait while
+the scheduler's flag is set (privileged access).  The privilege ends with
+the holder's next DATA header, or with any decoded header that names
+another station.
 
 A station has at most one frame on the air, so it reuses its frames, built at
 first use: one DATA frame, whose scheduling fields the token layer rewrites at
@@ -38,7 +42,7 @@ class Station:
         "sid", "sim", "medium", "phy", "mac", "rng",
         "dst", "payload_bytes", "scheduler", "source",
         "queue", "cw", "retries", "phase",
-        "pending_slots", "sifs_plan", "registered",
+        "pending_slots", "sifs_plan",
         "ack_timeout_us", "_ack_due", "_data", "_acks",
         "enqueued", "delivered", "dropped_full", "dropped_retry",
         "attempts", "failures", "delay_sum",
@@ -61,9 +65,8 @@ class Station:
         self.cw = mac.cw_min
         self.retries = 0
         self.phase = IDLE
-        self.pending_slots = None   # None = fresh draw on next resume
+        self.pending_slots = None   # None = fresh draw at the next plan
         self.sifs_plan = False
-        self.registered = False     # the medium holds its access, counting or frozen
         self._ack_due = None        # when the pending ACK timeout is due, while unscheduled
         self._data = None           # the DATA frame, reused for every transmission
         self._acks = None           # peer -> its ACK event, partial(_send_ack, ACK frame)
@@ -122,30 +125,25 @@ class Station:
     def _start_contention(self):
         self.phase = WAITING
         self.pending_slots = None
-        if self.medium.join(self.sid):
-            self._resume_wait()
-        # else: stay frozen until the idle edge arrives
+        self.medium.contend(self.sid)
 
-    def _resume_wait(self):
-        """The channel is idle: plan the access and hand it to the medium."""
-        self.registered = True
+    def plan(self, slots):
+        """The channel is idle: the backoff slots to count, or None for a bare SIFS wait.
+
+        The medium asks when it starts counting the access, with the
+        ``slots`` left of a frozen backoff, or None to keep the plan.
+        """
+        if slots is not None:
+            self.pending_slots = slots
         sched = self.scheduler
         if sched is not None and sched.flag:
             # privileged access: bare SIFS after the channel went idle
             self.sifs_plan = True
-            slots = None
-        else:
-            self.sifs_plan = False
-            if self.pending_slots is None:
-                self.pending_slots = self.rng.randint(0, self.cw)
-            slots = self.pending_slots
-        self.medium.register_access(self.sid, slots)
-
-    def on_channel_idle(self, slots):
-        """Idle edge: resume with the backoff ``slots`` the medium left (None keeps the plan)."""
-        if slots is not None:
-            self.pending_slots = slots
-        self._resume_wait()
+            return None
+        self.sifs_plan = False
+        if self.pending_slots is None:
+            self.pending_slots = self.rng.randint(0, self.cw)
+        return self.pending_slots
 
     def fire_access(self):
         """Backoff/SIFS wait elapsed with the channel idle: transmit.
@@ -153,7 +151,6 @@ class Station:
         A packet is queued: a station starts contending only with one, and
         its queue shrinks only while it awaits an ACK.
         """
-        self.registered = False
         self._transmit_data()
 
     def _transmit_data(self):
@@ -204,14 +201,6 @@ class Station:
                 self._send_ack, MacFrame(ACK, self.sid, frame.src))
             self._acks = acks
         self.sim.schedule(self.phy.sifs, send)
-
-    def on_grant(self):
-        """A decoded data frame, addressed or overheard, named this station privileged."""
-        if self.registered:
-            # granted while its access is frozen: plan a SIFS access at the
-            # idle edge, which hands back the slots left
-            self.medium.withdraw_access(self.sid)
-            self.registered = False
 
     def _send_ack(self, ack):
         # ``phase`` tracks the station's own data and is left alone here: a

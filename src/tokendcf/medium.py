@@ -36,16 +36,18 @@ frames do not matter), so a group keeps one busy count instead of one per
 station.  Backoffs that start counting together sit in the group's heap,
 keyed by slots left plus the group's consumed-slot offset.  The epoch is the
 instant the heap's members started counting idle time: the idle edge, or the
-join of the first member of an empty heap.  A busy edge adds the slots
+``contend`` of the first member of an empty heap.  A busy edge adds the slots
 counted since the epoch, ``(t - epoch - DIFS) // slot``, to the offset, so
 freezing or resuming the whole heap costs O(1); a group with nobody waiting
 costs a count update per edge.  Two kinds of station count on their own
 absolute fire time instead ("solo"): a backoff that starts in the middle of
 the heap's idle period, and a SIFS-privileged access; a busy edge freezes
 them by the same rule, counted from their own start.  Stations draw their
-backoffs but never count them: a frozen solo station, a busy-channel joiner
-and a heap member granted privilege while frozen get ``on_channel_idle(slots)``
-at the idle edge, with the slots left (None keeps the plan).  One index maps
+backoffs but never count them: the medium asks a station for its plan,
+``plan(slots)``, when it contends on an idle channel, and at the idle edge
+for a frozen solo station, a busy-channel contender and a heap member whose
+backoff a grant withdrew, with the slots left (None keeps the plan).  The
+medium alone knows where an access stands.  One index maps
 each idle group with a waiter to its earliest fire time, over its heap head
 and its solo stations; a busy edge drops the group from it.  One wake-up
 sits at the index's minimum, which is far cheaper than one timer per
@@ -255,7 +257,7 @@ class Medium:
     def subscribe(self, sid):
         """Put a contending station into the carrier-sense group of its cs_mask.
 
-        Returns the group.  A station subscribes once, at its first ``join``.
+        Returns the group.  A station subscribes once, at its first ``contend``.
         """
         cs = self.cs_mask[sid]
         group = self._groups.get(cs)
@@ -286,27 +288,25 @@ class Medium:
 
     # -- contention clock --------------------------------------------------
 
-    def join(self, sid):
+    def contend(self, sid):
         """A station starts contending for the channel.
 
-        Returns True when its channel is idle: the station plans its access
-        now and calls ``register_access``.  Otherwise the station's
-        ``on_channel_idle(None)`` is called at the next idle edge.
+        On an idle channel the medium asks the station for its plan now;
+        on a busy one it queues the station for the next idle edge.
         """
         group = self._group_of[sid] or self.subscribe(sid)
         if group.busy:
             group.frozen.append((sid, None))
-            return False
-        return True
+        else:
+            self._count(group, sid, self.stations[sid].plan(None))
 
-    def register_access(self, sid, slots):
-        """Start counting a waiting station's access on its idle channel.
+    def _count(self, group, sid, slots):
+        """Start counting a station's access on its idle channel.
 
         ``slots`` is the backoff after DIFS, or None for a bare SIFS wait.
         The station's ``fire_access()`` is called when the wait elapses with
         the channel idle; a busy edge before that freezes the count.
         """
-        group = self._group_of[sid]
         now = self.sim.now
         if slots is None:
             fire_at = now + self._sifs
@@ -319,30 +319,29 @@ class Medium:
             heappush(group.heap, (slots + group.offset, sid))
         else:
             group.solo[sid] = (fire_at, now, slots)
-        # an idle edge indexes afresh in _resume, after its stations register
+        # an idle edge indexes afresh in _resume, after it counts its stations
         if fire_at < self._fire.get(group, _INF):
             self._fire[group] = fire_at
         if fire_at < self._wake_at:
             self._set_wake(fire_at)
 
     def withdraw_access(self, sid):
-        """Hold a frozen access for the idle edge, taking it out of the heap.
+        """Hold a station's frozen heap backoff for the idle edge, which re-plans it.
 
-        Only while the group is busy or, before ``_resume``, at its idle edge:
-        the fire-time index never holds the group then.  The station's
-        ``on_channel_idle(slots)`` is called at the (next) idle edge.
+        A no-op for a station with no heap entry.  Only while the group is
+        busy or, before ``_resume``, at its idle edge: the fire-time index
+        never holds the group then.
         """
         group = self._group_of[sid]
+        if group is None:
+            return
         if not group.busy and group.epoch != self.sim.now:
             raise MediumError(f"station {sid}: withdrawal while its backoff counts")
         entry = next((entry for entry in group.heap if entry[1] == sid), None)
-        if entry is None:
-            if not any(member == sid for member, _slots in group.frozen):
-                raise MediumError(f"station {sid} has no frozen access in its group")
-            return
-        group.heap.remove(entry)
-        heapify(group.heap)
-        group.frozen.append((sid, max(entry[0] - group.offset, 0)))
+        if entry is not None:
+            group.heap.remove(entry)
+            heapify(group.heap)
+            group.frozen.append((sid, max(entry[0] - group.offset, 0)))
 
     def _freeze(self, group, now):
         """Busy edge of a group with waiters: stop every count in it."""
@@ -363,7 +362,7 @@ class Medium:
         if group.frozen:
             frozen, group.frozen = group.frozen, []
             for sid, slots in frozen:
-                self.stations[sid].on_channel_idle(slots)
+                self._count(group, sid, self.stations[sid].plan(slots))
         # its solo waits all started at this edge and armed the wake already
         fire_at = self._index(group)
         if fire_at < self._wake_at:

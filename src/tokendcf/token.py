@@ -9,14 +9,14 @@ decodes to all the schedulers that decoded it, addressed or overheard, in
 one pass.  Each header applied sets the flag to whether it names you, so a
 privilege ends with the holder's next DATA header, which it applies to
 itself, or with any decoded header that names another station.  A header
-that names you makes the hook call your station's grant callback, which the
-network hands it beside the schedulers, so that the grant reaches an access
-already planned; a set flag turns the next channel access into a bare SIFS
-wait.  The Adapt step moves p up or down by delta by how many transmissions
-came from sources already in ``heard``.  One event per network,
-``start_period_clock``, resets every scheduler in ascending id each
-``period_us`` (p and the counts to 0, ``heard`` to the station alone), then
-reschedules itself.
+that names you makes the hook call ``withdraw(sid)``, the medium's, which
+the network hands it beside the schedulers, so that a frozen backoff is
+planned afresh at the idle edge; a set flag turns the next channel access
+into a bare SIFS wait.  The Adapt step moves p up or down by delta by how
+many transmissions came from sources already in ``heard``.  One event per
+network, ``start_period_clock``, resets every scheduler in ascending id
+each ``period_us`` (p and the counts to 0, ``heard`` to the station alone),
+then reschedules itself.
 """
 
 from .medium import members
@@ -79,15 +79,15 @@ def start_period_clock(sim, schedulers, period_us):
     sim.schedule(period_us, reset_all)
 
 
-def overhear(schedulers, grants, by_mask, frame, listened):
-    """The medium's DATA hook: ``schedulers`` and grant callbacks by id, listeners cached per mask."""
+def overhear(schedulers, withdraw, by_mask, frame, listened):
+    """The medium's DATA hook: ``schedulers`` by id, ``withdraw`` for grants, listeners cached per mask."""
     listeners = by_mask.get(listened)
     if listeners is None:   # a run meets few distinct masks
         listeners = by_mask[listened] = tuple(map(schedulers.__getitem__, members(listened)))
     privileged = frame.privileged
     apply_header(listeners, frame.src, privileged, frame.q_len)
     if privileged is not None and listened >> privileged & 1:
-        grants[privileged]()
+        withdraw(privileged)
 
 
 def apply_header(schedulers, src, privileged, q_len):

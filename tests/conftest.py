@@ -30,12 +30,17 @@ class Network(_Network):
 
 
 class Recorder:
-    """Stand-in station that just records the callbacks it receives."""
+    """Stand-in station that just records the callbacks it receives.
+
+    ``plan`` hands back the slots it is given, or else pops the next of
+    ``plans``, which a test scripts: backoff slots, or None for a SIFS wait.
+    """
 
     def __init__(self, sid, sim):
         self.sid = sid
         self.sim = sim
         self.events = []
+        self.plans = []
 
     def on_frame(self, frame):
         self.events.append((self.sim.now, "frame", frame))
@@ -46,8 +51,9 @@ class Recorder:
     def ack_lost(self):
         self.events.append((self.sim.now, "ack_lost", None))
 
-    def on_channel_idle(self, slots):
-        self.events.append((self.sim.now, "idle", slots))
+    def plan(self, slots):
+        self.events.append((self.sim.now, "plan", slots))
+        return slots if slots is not None else self.plans.pop(0)
 
     def fire_access(self):
         self.events.append((self.sim.now, "fire", None))

@@ -173,8 +173,8 @@ def results():
     """name -> (digest, Counter of the paths it reached), for every entry of PINNED.
 
     In the corpus, the MAC's half-duplex ACK guard, ``Medium.withdraw_access``
-    and the Adapt step are counted too, by wrappers that call the originals
-    unchanged.
+    (only the calls that take a heap entry: the rest are no-ops) and the Adapt
+    step are counted too, by wrappers that call the originals unchanged.
     """
     reached = Counter()
     send_ack, withdraw, apply_header = (Station._send_ack, Medium.withdraw_access,
@@ -186,8 +186,11 @@ def results():
         send_ack(st, ack)
 
     def counted_withdraw(medium, sid):
-        reached["withdrawn grant"] += 1
+        group = medium._group_of[sid]
+        held = len(group.heap) if group else 0
         withdraw(medium, sid)
+        if group and len(group.heap) < held:
+            reached["withdrawn grant"] += 1
 
     def counted_apply_header(schedulers, src, privileged, q_len):
         apply_header(schedulers, src, privileged, q_len)

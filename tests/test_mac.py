@@ -98,14 +98,15 @@ def test_queue_accepts_up_to_capacity_then_drops():
     (0, -3, 0, 0),      # a negative count: rejected before any counter moves
     (45, -3, 0, 0),
 ])
-def test_enqueue_of_many_queues_the_room_and_drops_the_rest(before, count, queued, dropped):
+def test_enqueue_of_many_queues_the_room_and_drops_the_rest(monkeypatch, before, count,
+                                                            queued, dropped):
     net = single_flow()
     st = net.stations[0]
     st.rng = Draws(3)
-    registered = []
-    register_access = net.medium.register_access
-    net.medium.register_access = lambda sid, slots: (registered.append(sid),
-                                                     register_access(sid, slots))
+    planned = []
+    plan = Station.plan
+    monkeypatch.setattr(Station, "plan",
+                        lambda st, slots: (planned.append(st.sid), plan(st, slots))[1])
     if before:
         assert st.enqueue_packet(before) == ACCEPTED
     if count < 0:
@@ -120,7 +121,7 @@ def test_enqueue_of_many_queues_the_room_and_drops_the_rest(before, count, queue
     # contention starts once, on the first packet queued
     started = before + queued > 0
     assert st.rng.bounds == ([MacParams().cw_min] if started else [])
-    assert registered == ([0] if started else [])
+    assert planned == ([0] if started else [])
     assert st.phase == (WAITING if started else IDLE)
 
 
@@ -132,7 +133,7 @@ def test_full_buffer_start_equals_single_enqueues():
         single.stations[0].enqueue_packet()
     a, b = filled.stations[0], single.stations[0]
     assert list(a.queue) == list(b.queue)
-    for name in ("enqueued", "dropped_full", "phase", "pending_slots", "registered"):
+    for name in ("enqueued", "dropped_full", "phase", "pending_slots"):
         assert getattr(a, name) == getattr(b, name), name
     assert a.rng.getstate() == b.rng.getstate()
     assert a.dropped_full == 0
@@ -148,7 +149,7 @@ def test_first_enqueue_on_idle_medium_starts_contention():
     assert st.phase == IDLE
     st.enqueue_packet()
     assert st.phase == WAITING
-    assert st.registered
+    assert st.pending_slots == 3   # the medium asked for its plan at once
     net.run(1000)
     assert first_tx(net, 0) == 28 + 3 * 9
 
@@ -518,8 +519,8 @@ CONTRACT_RUNS = {
 
 @pytest.mark.parametrize("name", CONTRACT_RUNS)
 def test_on_frame_takes_addressed_frames_and_access_fires_with_a_packet(monkeypatch, name):
-    on_frame, fire_access, ack_timeout = (Station.on_frame, Station.fire_access,
-                                          Station._ack_timeout)
+    on_frame, fire_access, ack_timeout, plan = (Station.on_frame, Station.fire_access,
+                                                Station._ack_timeout, Station.plan)
     calls = collections.Counter()
 
     def addressed(st, frame):
@@ -540,6 +541,17 @@ def test_on_frame_takes_addressed_frames_and_access_fires_with_a_packet(monkeypa
             assert st.scheduler.flag == granted, st.sid
             calls["self_grant"] += granted
 
+    def planned(st, slots):
+        # asked only while the station waits with a packet, off the air;
+        # a SIFS wait exactly while its scheduler's flag is set
+        assert st.phase == WAITING and st.queue, st.sid
+        assert not st.medium.is_transmitting(st.sid), st.sid
+        result = plan(st, slots)
+        sifs = st.scheduler is not None and st.scheduler.flag
+        assert (result is None) == sifs, st.sid
+        calls["sifs plan" if sifs else "backoff plan"] += 1
+        return result
+
     def timed_out(st):
         dropped = st.dropped_retry
         ack_timeout(st)
@@ -549,10 +561,13 @@ def test_on_frame_takes_addressed_frames_and_access_fires_with_a_packet(monkeypa
     monkeypatch.setattr(Station, "on_frame", addressed)
     monkeypatch.setattr(Station, "fire_access", with_a_packet)
     monkeypatch.setattr(Station, "_ack_timeout", timed_out)
+    monkeypatch.setattr(Station, "plan", planned)
     CONTRACT_RUNS[name]()
-    assert calls["ack"] > 0 and calls["fire_access"] > 0
+    assert calls["ack"] > 0 and calls["fire_access"] > 0 and calls["backoff plan"] > 0
     if "token" in name:
-        assert calls["self_grant"] > 0
+        assert calls["self_grant"] > 0 and calls["sifs plan"] > 0
+    else:
+        assert calls["sifs plan"] == 0
     if name.startswith("pareto800"):
         assert calls["drop_emptied_queue"] > 0
 

@@ -33,6 +33,12 @@ def frames_at(recorder):
     return [f for _, kind, f in recorder.events if kind == "frame"]
 
 
+def contend(medium, sid, *plans):
+    """Script recorder ``sid``'s next ``plans``, then have it contend."""
+    medium.stations[sid].plans.extend(plans)
+    medium.contend(sid)
+
+
 def overheard(medium, *listeners):
     """Have ``listeners`` listen and record each DATA hook call: (frame, listener ids)."""
     calls = []
@@ -342,42 +348,48 @@ def test_trace_reader_rejects_a_malformed_trace(records, error):
 # -- carrier sensing --------------------------------------------------------
 
 def test_carrier_idle_with_no_transmissions():
-    _, medium, _ = make_medium([(0.0, 0.0), (100.0, 0.0)])
-    assert medium.join(1)   # an idle channel: the station plans its access now
+    _, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0)])
+    contend(medium, 1, 5)   # an idle channel: the station plans its access now
+    assert recorders[1].events == [(0, "plan", None)]
 
 
 def test_carrier_busy_at_540m_not_at_560m():
-    sim, medium, _ = make_medium([(0.0, 0.0), (540.0, 0.0), (560.0, 0.0)])
+    sim, medium, recorders = make_medium([(0.0, 0.0), (540.0, 0.0), (560.0, 0.0)])
     medium.begin_transmission(0, data(0, 1), 96)
-    assert not medium.join(1)
-    assert medium.join(2)
+    contend(medium, 1, 5)   # busy: it plans at the idle edge
+    contend(medium, 2, 5)
+    assert recorders[1].events == []
+    assert recorders[2].events == [(0, "plan", None)]
 
 
 def test_subscriber_gets_busy_and_idle_edges():
     # the busy edge at t=50 freezes every count in the group, silently; the
-    # idle edge at t=146 hands back the slots left.  3 counts 40 slots in
-    # the heap from t=0 and resumes there without a call.  4 starts 10
-    # slots mid-idle at t=5 on its own fire time and has counted
-    # (50 - 5 - 28) // 9 = 1.  1 counts a SIFS wait from t=45 and 2 joins
-    # while the channel is busy: both keep their plan (None).
+    # idle edge at t=146 asks for plans again, with the slots left.  3
+    # counts 40 slots in the heap from t=0 and resumes there without a
+    # call.  4 starts 10 slots mid-idle at t=5 on its own fire time and has
+    # counted (50 - 5 - 28) // 9 = 1.  1 counts a SIFS wait from t=45 and 2
+    # contends while the channel is busy: both keep their plan (None) and
+    # re-plan from their scripts, 1 a SIFS wait, 2 three slots.
     positions = [(0.0, 0.0), (100.0, 0.0), (50.0, 50.0), (0.0, 50.0), (100.0, 50.0)]
     sim, medium, recorders = make_medium(positions)
-    sim.schedule(0, lambda: medium.join(3) and medium.register_access(3, 40))
-    sim.schedule(5, lambda: medium.join(4) and medium.register_access(4, 10))
-    sim.schedule(45, lambda: medium.join(1) and medium.register_access(1, None))
+    sim.schedule(0, lambda: contend(medium, 3, 40))
+    sim.schedule(5, lambda: contend(medium, 4, 10))
+    sim.schedule(45, lambda: contend(medium, 1, None, None))
     sim.schedule(50, lambda: medium.begin_transmission(0, data(0, 1), 96))
-    sim.schedule(60, lambda: medium.join(2))
+    sim.schedule(60, lambda: contend(medium, 2, 3))
     sim.run_until(500)
 
-    def idle_edges(sid):
-        return [(t, slots) for t, kind, slots in recorders[sid].events if kind == "idle"]
+    def plans(sid):
+        return [(t, slots) for t, kind, slots in recorders[sid].events if kind == "plan"]
 
-    assert idle_edges(4) == [(146, 9)]
-    assert idle_edges(1) == [(146, None)]
-    assert idle_edges(2) == [(146, None)]
-    assert idle_edges(3) == []
-    # 3 fires at 146 + 28 + (40 - 2) * 9 = 516, after the horizon
-    assert not any(kind == "fire" for rec in recorders for _, kind, _ in rec.events)
+    assert plans(4) == [(5, None), (146, 9)]
+    assert plans(1) == [(45, None), (146, None)]
+    assert plans(2) == [(146, None)]
+    assert plans(3) == [(0, None)]
+    # 1 fires a SIFS after the edge, 2 and 4 after DIFS and their slots; 3
+    # fires at 146 + 28 + (40 - 2) * 9 = 516, after the horizon
+    fired = sorted((t, rec.sid) for rec in recorders for t, kind, _ in rec.events if kind == "fire")
+    assert fired == [(146 + 10, 1), (146 + 28 + 3 * 9, 2), (146 + 28 + 9 * 9, 4)]
 
 
 def fires_in_order(sim, recorders):
@@ -396,8 +408,8 @@ def test_due_stations_of_two_groups_fire_in_ascending_id():
     phy = medium.phy
     due = phy.difs + 2 * phy.slot_time
     fired = fires_in_order(sim, recorders)
-    sim.schedule(0, lambda: medium.join(1) and medium.register_access(1, 2))
-    sim.schedule(due - phy.sifs, lambda: medium.join(0) and medium.register_access(0, None))
+    sim.schedule(0, lambda: contend(medium, 1, 2))
+    sim.schedule(due - phy.sifs, lambda: contend(medium, 0, None))
     sim.run_until(1000)
     assert fired == [(due, 0), (due, 1)]
 
@@ -405,7 +417,7 @@ def test_due_stations_of_two_groups_fire_in_ascending_id():
 def test_lone_due_station_fires():
     sim, medium, recorders = make_medium([(0.0, 0.0)])
     fired = fires_in_order(sim, recorders)
-    sim.schedule(3, lambda: medium.join(0) and medium.register_access(0, 5))
+    sim.schedule(3, lambda: contend(medium, 0, 5))
     sim.run_until(1000)
     assert fired == [(3 + medium.phy.difs + 5 * medium.phy.slot_time, 0)]
 
@@ -421,8 +433,8 @@ def test_stale_wake_fires_nobody_and_rearms_at_the_next_fire_time():
     wakes = []
     wake = medium._wake
     medium._wake = lambda: (wakes.append(sim.now), wake())
-    sim.schedule(0, lambda: medium.join(0) and medium.register_access(0, 2))
-    sim.schedule(0, lambda: medium.join(2) and medium.register_access(2, 10))
+    sim.schedule(0, lambda: contend(medium, 0, 2))
+    sim.schedule(0, lambda: contend(medium, 2, 10))
     sim.schedule(30, lambda: medium.begin_transmission(1, data(1, 0), 200))
     sim.run_until(46)
     assert (wakes, fired, medium._wake_at) == ([46], [], 118)
@@ -431,17 +443,33 @@ def test_stale_wake_fires_nobody_and_rearms_at_the_next_fire_time():
     assert fired == [(118, 2), (276, 0)]
 
 
-def test_withdrawal_needs_a_frozen_access():
-    sim, medium, _ = make_medium([(0.0, 0.0), (100.0, 0.0), (50.0, 50.0)])
-    medium.begin_transmission(0, data(0, 1), 96)
-    medium.subscribe(1)
-    with pytest.raises(MediumError):
-        medium.withdraw_access(1)
+def test_withdrawal_without_a_heap_entry_is_a_no_op():
+    # 0's frame from t=50 freezes the group.  4 counts 40 slots in the heap
+    # from t=0; 3 starts 10 slots mid-idle at t=5, a solo count frozen with
+    # 9 left; 1 contends while the channel is busy; 2 never contends.
+    positions = [(0.0, 0.0), (100.0, 0.0), (50.0, 50.0), (0.0, 50.0), (100.0, 50.0)]
+    sim, medium, _ = make_medium(positions)
+    sim.schedule(0, lambda: contend(medium, 4, 40))
+    sim.schedule(5, lambda: contend(medium, 3, 10))
+    sim.schedule(50, lambda: medium.begin_transmission(0, data(0, 1), 96))
+    sim.schedule(60, lambda: contend(medium, 1))
+    sim.run_until(70)
+    group = medium._group_of[1]
+    assert medium._group_of[2] is None
+    heap, frozen = list(group.heap), list(group.frozen)
+    assert frozen == [(3, 9), (1, None)]
+    for sid in (2, 1, 3):
+        medium.withdraw_access(sid)
+        assert (group.heap, group.frozen) == (heap, frozen), sid
+    # the heap member's backoff moves to the idle edge with its slots left,
+    # 40 - (50 - 28) // 9 = 38
+    medium.withdraw_access(4)
+    assert (group.heap, group.frozen) == ([], frozen + [(4, 38)])
 
 
 def test_withdrawal_while_the_backoff_counts_is_refused():
     sim, medium, _ = make_medium([(0.0, 0.0)])
-    sim.schedule(0, lambda: medium.join(0) and medium.register_access(0, 5))
+    sim.schedule(0, lambda: contend(medium, 0, 5))
     sim.run_until(10)
     with pytest.raises(MediumError, match="while its backoff counts"):
         medium.withdraw_access(0)
@@ -456,8 +484,7 @@ def test_zero_airtime_refused():
 
 # what the medium calls on a station, and ``ack_lost``, which the station
 # that was to send an ACK calls on the one awaiting it
-STATION_CALLBACKS = ("ack_lost", "fire_access", "on_channel_idle", "on_frame",
-                     "on_tx_complete")
+STATION_CALLBACKS = ("ack_lost", "fire_access", "on_frame", "on_tx_complete", "plan")
 
 
 def test_recorder_stub_has_the_station_callbacks():

@@ -26,10 +26,9 @@ def data(src, dst=99, privileged=None, q_len=0):
                     privileged=privileged, q_len=q_len)
 
 
-def receive(sched, frame, on_grant=lambda: None):
+def receive(sched, frame, withdraw=lambda sid: None):
     """Hand ``frame`` to ``sched`` through the DATA hook, as its only listener."""
-    pad = [None] * sched.sid
-    overhear(pad + [sched], pad + [on_grant], {}, frame, 1 << sched.sid)
+    overhear([None] * sched.sid + [sched], withdraw, {}, frame, 1 << sched.sid)
 
 
 def adapt(sched, src):
@@ -110,7 +109,7 @@ def test_self_grant_sets_flag():
 def test_overheard_grant_to_me_sets_flag():
     _, sched = make_sched(sid=3)
     grants = []
-    receive(sched, data(7, privileged=3, q_len=20), lambda: grants.append(sched.sid))
+    receive(sched, data(7, privileged=3, q_len=20), grants.append)
     assert sched.flag == 1
     assert grants == [3]
     assert sched.heard == {3: 0, 7: 20}
@@ -335,7 +334,6 @@ def test_one_pass_step_matches_per_station_oracle(n, max_num, steps):
     scheds = [TokenScheduler(sid, params, substream(1, sid, "sched")) for sid in range(n)]
     oracles = [SchedulerOracle(sid, params) for sid in range(n)]
     grants, expected = [], []
-    on_grant = [lambda sid=sid: grants.append(sid) for sid in range(n)]
     hook_cache = {}
     for step in steps:
         kind, sid = step[0], step[1] % n
@@ -343,7 +341,7 @@ def test_one_pass_step_matches_per_station_oracle(n, max_num, steps):
             _, src, privileged, q_len, mask = step
             listened = mask & ((1 << n) - 1) & ~(1 << src)   # a sender never hears itself
             if listened:
-                overhear(scheds, on_grant, hook_cache,
+                overhear(scheds, grants.append, hook_cache,
                          data(src, privileged=privileged, q_len=q_len), listened)
             for oracle in oracles:
                 if listened >> oracle.sid & 1:
