@@ -1,4 +1,7 @@
-"""Command-line front end: run one scenario, sweep a parameter, or validate."""
+"""Command-line front end: run one scenario, sweep a parameter, or validate.
+
+``sweep`` leaves ``--out`` to ``run_sweep``, which creates it only after every value passes.
+"""
 
 import argparse
 import os
@@ -60,16 +63,16 @@ def main(argv=None):
         print("config ok")
         return 0
 
-    try:   # before the first run, so that a bad --out costs no simulation
-        prepare_out_dir(args.out, sweep=args.command == "sweep")
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 2
     if args.command == "run":
+        try:   # before the run, so that a bad --out costs no simulation
+            prepare_out_dir(args.out)
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
         row = run_scenario(config)
         write_csv(os.path.join(args.out, "results.csv"), [row])
         avg = row.averages
-        print(f"{row.protocol}: throughput {avg['throughput_bps']:.0f} bps, "
+        print(f"{row.config.protocol}: throughput {avg['throughput_bps']:.0f} bps, "
               f"delay {_show(avg['access_delay_us'])} us, "
               f"idle slots {_show(avg['idle_slots'])}, "
               f"collision freq {_show(avg['collision_freq'])}")
@@ -79,6 +82,9 @@ def main(argv=None):
         rows = run_sweep(config, args.param, args.values, out_dir=args.out)
     except ConfigError as exc:
         print(f"sweep error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(rows)} rows to {os.path.join(args.out, 'results.csv')}")
     return 0

@@ -1,4 +1,7 @@
-"""Scenario configuration, topology generation, run orchestration, CSV output."""
+"""Scenario configuration, topology generation, run orchestration, CSV output.
+
+A ``ResultRow`` keeps the ``ScenarioConfig`` it ran; only ``prepare_out_dir`` makes directories.
+"""
 
 import configparser
 import csv
@@ -326,10 +329,7 @@ _METRIC_FIELDS = ("throughput_bps", "access_delay_us", "idle_slots",
 @dataclass
 class ResultRow:
     scenario_id: str
-    protocol: str
-    n_tx: int
-    area: float
-    pkt_size: int
+    config: ScenarioConfig
     reports: list
     averages: dict
 
@@ -347,10 +347,7 @@ def run_scenario(config, scenario_id=None):
     reports = [simulate_run(config, i) for i in range(config.runs)]
     return ResultRow(
         scenario_id=scenario_id or f"n={config.n_transmitters}",
-        protocol=config.protocol,
-        n_tx=config.n_transmitters,
-        area=config.area_side,
-        pkt_size=config.traffic.packet_size,
+        config=config,
         reports=reports,
         averages=_average(reports),
     )
@@ -365,10 +362,13 @@ def apply_sweep_value(config, param, value):
 
 
 def run_sweep(base_config, param, values, out_dir=None):
-    """Cartesian product of sweep values and both protocols, in fixed order."""
+    """Cartesian product of sweep values and both protocols, in fixed order.
+
+    Every value is checked (ConfigError) before ``out_dir`` is prepared
+    (OSError), and both before the first run: a rejected value leaves no ``out_dir``.
+    """
     if not values:
         raise ConfigError("sweep value list is empty")
-    # every value, and the output directory, is checked before the first run
     configs = [apply_sweep_value(base_config, param, value) for value in values]
     if out_dir is not None:
         prepare_out_dir(out_dir, sweep=True)
@@ -379,7 +379,7 @@ def run_sweep(base_config, param, values, out_dir=None):
             rows.append((value, run_scenario(cfg, scenario_id=f"{param}={value}")))
     if out_dir is not None:
         write_csv(os.path.join(out_dir, "results.csv"), [row for _, row in rows])
-        write_plot_data(out_dir, param, rows)
+        write_plot_data(out_dir, rows)
     return [row for _, row in rows]
 
 
@@ -403,12 +403,12 @@ CSV_COLUMNS = ("scenario_id", "protocol", "n_tx", "area", "pkt_size", "run") + _
 
 
 def write_csv(path, rows):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            base = (row.scenario_id, row.protocol, row.n_tx, row.area, row.pkt_size)
+            cfg = row.config
+            base = (row.scenario_id, cfg.protocol, cfg.n_transmitters, cfg.area_side, cfg.packet_size)
             for i, rep in enumerate(row.reports):
                 writer.writerow(base + (i,) + tuple(
                     _fmt(getattr(rep, name)) for name in _METRIC_FIELDS))
@@ -424,15 +424,14 @@ def _fmt(value):
     return value
 
 
-def write_plot_data(out_dir, param, value_rows):
+def write_plot_data(out_dir, value_rows):
     """One two-column file per (metric, protocol): sweep value vs average."""
-    os.makedirs(out_dir, exist_ok=True)
     for metric in _METRIC_FIELDS:
         for protocol in PROTOCOLS:
             path = os.path.join(out_dir, _plot_file(metric, protocol))
             with open(path, "w") as fh:
                 for value, row in value_rows:
-                    if row.protocol != protocol:
+                    if row.config.protocol != protocol:
                         continue
                     avg = row.averages[metric]
                     fh.write(f"{value} {'nan' if avg is None else avg}\n")

@@ -151,9 +151,6 @@ class Station:
         A packet is queued: a station starts contending only with one, and
         its queue shrinks only while it awaits an ACK.
         """
-        self._transmit_data()
-
-    def _transmit_data(self):
         frame = self._data
         if frame is None:
             frame = self._data = MacFrame(DATA, self.sid, self.dst, self.payload_bytes)

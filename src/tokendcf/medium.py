@@ -420,10 +420,7 @@ class Medium:
     # -- transmissions -----------------------------------------------------
 
     def begin_transmission(self, src, frame, airtime):
-        """Put ``frame`` on the air from ``src`` for ``airtime`` µs.
-
-        Returns ``src``'s on-air record, which is reused for its next frame.
-        """
+        """Put ``frame`` on the air from ``src`` for ``airtime`` µs."""
         if src in self._active:
             raise MediumError(f"station {src} is already transmitting")
         if airtime <= 0:
@@ -463,7 +460,6 @@ class Medium:
         self.sim.schedule(airtime, tx.finish)
         if self.trace is not None:
             self.trace.append((now, "tx", src, frame.kind, tx.end, frame.dst))
-        return tx
 
     def _finish(self, tx):
         src = tx.src

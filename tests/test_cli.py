@@ -135,15 +135,18 @@ def test_sweep_rejects_infinite_count(config_file, tmp_path, capsys):
     assert main(["sweep", "--config", config_file, "--param", "n_transmitters",
                  "--values", "inf", "--out", str(tmp_path / "x")]) == 2
     assert "n_transmitters" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_sweep_unknown_param_errors(config_file, tmp_path, capsys):
     assert main(["sweep", "--config", config_file, "--param", "nonsense",
                  "--values", "1,2", "--out", str(tmp_path / "x")]) == 2
     assert "sweep error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_sweep_rejects_invalid_packet_size(config_file, tmp_path, capsys):
     assert main(["sweep", "--config", config_file, "--param", "packet_size",
                  "--values", "0", "--out", str(tmp_path / "x")]) == 2
     assert "sweep error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

@@ -403,7 +403,7 @@ def test_apply_sweep_value_known_params():
 def test_sweep_rows_cover_values_times_protocols(tmp_path):
     cfg = short_config(runs=1, duration_s=0.1)
     rows = run_sweep(cfg, "n_transmitters", [2, 3], out_dir=str(tmp_path))
-    assert [(r.n_tx, r.protocol) for r in rows] == [
+    assert [(r.config.n_transmitters, r.config.protocol) for r in rows] == [
         (2, "dcf"), (2, "token_dcf"), (3, "dcf"), (3, "token_dcf")]
     assert (tmp_path / "results.csv").exists()
     for metric in ("throughput_bps", "idle_slots"):

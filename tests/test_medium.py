@@ -620,11 +620,12 @@ def test_reused_record_starts_each_frame_clean():
     # out alone on the same on-air record and must not inherit that spoil
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)])
     first, second = data(0, 1), data(0, 1)
-    records = [medium.begin_transmission(0, first, 96)]
+    medium.begin_transmission(0, first, 96)
+    record = medium._records[0]
     sim.schedule(10, lambda: medium.begin_transmission(2, data(2, 2), 96))
-    sim.schedule(200, lambda: records.append(medium.begin_transmission(0, second, 96)))
+    sim.schedule(200, lambda: medium.begin_transmission(0, second, 96))
     sim.run_until(400)
-    assert records[1] is records[0]
+    assert medium._records[0] is record
     assert frames_at(recorders[1]) == [second]
     sent = [(f.start, tuple(members(f.corrupted)), tuple(members(f.delivered)))
             for f in read_frames(medium.trace) if f.src == 0]
