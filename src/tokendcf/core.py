@@ -21,7 +21,8 @@ a heap entry.
 Each station draws from its own ``substream``, a ``random.Random`` keyed by
 SHA-256 of (seed, *tags).  Its ``randint`` over int bounds, the backoff
 draw, is the standard library's draw in one call instead of three: the same
-ints and the same state.
+ints and the same state.  A stream keeps no instance dict: a network builds
+thousands of them, and the one attribute ``random.Random`` sets sits in a slot.
 """
 
 import hashlib
@@ -121,7 +122,14 @@ class Substream(random.Random):
     frame: rejection sampling over ``getrandbits(n.bit_length())`` with
     ``n = b - a + 1``.  It returns the same ints and leaves the same state;
     any other input goes to ``random.Random.randint``, errors included.
+
+    ``gauss_next``, the one attribute ``random.Random`` sets, is a slot, so
+    a stream allocates no instance dict.  ``copy`` and ``pickle`` still
+    work: ``random.Random.__reduce__`` calls the class with no argument and
+    restores the state with ``setstate``.
     """
+
+    __slots__ = ("gauss_next",)
 
     def randint(self, a, b):
         if type(a) is int and type(b) is int and a <= b:

@@ -20,7 +20,7 @@ from .medium import Medium
 from .params import (ConfigError, MacParams, PhyParams, TokenParams, require_finite,
                      require_ints)
 from .token import TokenScheduler, overhear, start_period_clock
-from .traffic import TrafficSpec, make_source
+from .traffic import PARETO_ON_OFF, TrafficSpec, make_source
 
 PROTOCOLS = ("dcf", "token_dcf")
 # Grant policies: the one longest-queue-first scheduler.  The ``policy`` field
@@ -236,8 +236,8 @@ class Network:
 
     Owns the event loop, the medium and the stations, indexed by id.  The
     source of each ``(src, dst)`` flow is a sender to ``dst``, with a token
-    scheduler under ``token_dcf``; every other id is a plain station.  Each
-    station draws from its own substreams of ``run_seed``.
+    scheduler under ``token_dcf``; every other id is a sink, which queues
+    nothing.  Each sender draws from its own substreams of ``run_seed``.
     """
 
     def __init__(self, positions, flows, config, run_seed, trace=None):
@@ -354,8 +354,16 @@ def run_scenario(config, scenario_id=None):
 
 
 def apply_sweep_value(config, param, value):
+    """``config`` with ``param`` set to ``value``; ConfigError if no run would read it.
+
+    Only a Pareto source reads ``rate``, so sweeping it over other traffic
+    would run every value as the same scenario.
+    """
     if param not in _SWEEPS:
         raise ConfigError(f"cannot sweep over parameter '{param}'")
+    if param == "rate" and config.traffic.kind != PARETO_ON_OFF:
+        raise ConfigError(f"cannot sweep over parameter 'rate' with {config.traffic.kind} "
+                          f"traffic: only {PARETO_ON_OFF} traffic reads it")
     sec, key = _SWEEPS[param]
     field_name, conv = _KEYS[sec][key]
     return _build(config, {sec: {field_name: _convert(param, conv, value)}})

@@ -22,6 +22,10 @@ another station.
 A station has at most one frame on the air, so it reuses its frames, built at
 first use: one DATA frame, whose scheduling fields the token layer rewrites at
 each transmission, and per peer one ACK frame in a pre-bound ``_send_ack`` event.
+
+A sink, a station without a destination, only receives and ACKs: its
+``queue`` is an empty tuple, not a deque, and ``enqueue_packet`` on it
+raises ValueError.
 """
 
 from collections import deque
@@ -61,7 +65,7 @@ class Station:
         self.payload_bytes = payload_bytes
         self.scheduler = scheduler
         self.source = None
-        self.queue = deque()        # arrival timestamps, FIFO
+        self.queue = deque() if dst is not None else ()   # arrival timestamps, FIFO
         self.cw = mac.cw_min
         self.retries = 0
         self.phase = IDLE
@@ -98,8 +102,11 @@ class Station:
         full-queue drops.  ACCEPTED when at least one packet was queued.
         Contention starts once, after the packets are queued: starting it
         reads no queue length, so one call of ``count`` equals ``count``
-        calls of one.  A negative ``count`` raises ValueError.
+        calls of one.  A negative ``count``, or any on a sink, raises
+        ValueError before a counter moves.
         """
+        if self.dst is None:
+            raise ValueError(f"station {self.sid} is a sink: it queues no packets")
         if count < 0:
             raise ValueError(f"station {self.sid}: cannot enqueue {count} packets")
         self.enqueued += count

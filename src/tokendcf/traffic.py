@@ -1,4 +1,8 @@
-"""Packet arrival processes: saturated full-buffer and Pareto on/off."""
+"""Packet arrival processes: saturated full-buffer and Pareto on/off.
+
+A network builds one source per flow, so each source keeps its fields in
+slots and allocates no instance dict.
+"""
 
 import math
 from dataclasses import dataclass
@@ -38,6 +42,8 @@ class TrafficSpec:
 class FullBufferSource:
     """Keeps the MAC queue topped up to capacity: refills after each dequeue."""
 
+    __slots__ = ("station",)
+
     def __init__(self, station):
         self.station = station
         station.source = self
@@ -57,6 +63,8 @@ class ParetoOnOffSource:
     accumulated on time; unconsumed inter-arrival time carries over across
     off phases so the long-run offered load is rate * on/(on+off).
     """
+
+    __slots__ = ("station", "spec", "rng", "sim", "delta_us", "owed", "anchor", "phase_end")
 
     def __init__(self, station, spec, rng):
         self.station = station

@@ -145,6 +145,16 @@ def test_sweep_unknown_param_errors(config_file, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_sweep_rejects_rate_over_full_buffer_traffic(config_file, tmp_path, capsys):
+    # the config's traffic is full_buffer, which never reads the rate
+    assert main(["sweep", "--config", config_file, "--param", "rate",
+                 "--values", "1e5,1e6", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"sweep error: cannot sweep over parameter 'rate' with full_buffer traffic",
+                    err), err
+    assert not (tmp_path / "x").exists()
+
+
 def test_sweep_rejects_invalid_packet_size(config_file, tmp_path, capsys):
     assert main(["sweep", "--config", config_file, "--param", "packet_size",
                  "--values", "0", "--out", str(tmp_path / "x")]) == 2

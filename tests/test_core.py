@@ -1,5 +1,7 @@
 """Event engine ordering, the alarm, closing and the seeded random streams."""
 
+import copy
+import pickle
 import random
 import weakref
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from tokendcf import (MacParams, Simulator, derive_seed, draw_pareto, pareto_scale,
                       substream)
-from tokendcf.core import SimError
+from tokendcf.core import SimError, Substream
 
 
 def test_zero_delay_fires_before_later_events():
@@ -205,6 +207,35 @@ def test_substream_distinct_tags_diverge():
     a = substream(42, 3, "backoff")
     b = substream(42, 3, "sched")
     assert [a.random() for _ in range(10)] != [b.random() for _ in range(10)]
+
+
+def test_substream_keeps_no_instance_dict():
+    # a network builds thousands of streams: random.Random's one attribute is a slot
+    rng = substream(1, 0, "backoff")
+    assert vars(rng) == {}
+    rng.random()
+    rng.randint(0, 1023)
+    rng.gauss(0.0, 1.0)   # sets gauss_next
+    assert rng.gauss_next is not None
+    assert vars(rng) == {}
+
+
+def test_substream_draws_copies_and_pickles_as_the_stdlib():
+    ours = substream(1, 0, "backoff")
+    ref = random.Random(derive_seed(1, 0, "backoff"))
+    assert ours.getstate() == ref.getstate()
+    assert [ours.random() for _ in range(100)] == [ref.random() for _ in range(100)]
+    assert [ours.randint(0, 1023) for _ in range(100)] == \
+        [ref.randint(0, 1023) for _ in range(100)]
+    ours.gauss(0.0, 1.0)
+    ref.gauss(0.0, 1.0)
+    assert ours.getstate() == ref.getstate()
+    twins = [copy.deepcopy(ours), pickle.loads(pickle.dumps(ours))]
+    expected = [ref.randint(0, 1023) for _ in range(10)]
+    for twin in twins:
+        assert type(twin) is Substream
+        assert twin.getstate() == ours.getstate()
+        assert [twin.randint(0, 1023) for _ in range(10)] == expected
 
 
 def test_derive_seed_stable_and_distinct():

@@ -395,9 +395,22 @@ def test_apply_sweep_value_known_params():
     cfg = short_config()
     assert apply_sweep_value(cfg, "n_transmitters", 7).n_transmitters == 7
     assert apply_sweep_value(cfg, "packet_size", 1500).traffic.packet_size == 1500
-    assert apply_sweep_value(cfg, "rate", 1e6).traffic.rate_bps == 1e6
+    pareto = short_config(traffic=TrafficSpec(kind="pareto_on_off"))
+    assert apply_sweep_value(pareto, "rate", 1e6).traffic.rate_bps == 1e6
     with pytest.raises(ConfigError):
         apply_sweep_value(cfg, "protocol", "dcf")
+
+
+def test_rate_sweep_over_full_buffer_traffic_rejected_before_any_run(tmp_path, monkeypatch):
+    # only a Pareto source reads rate_bps: every value would run the same scenario
+    runs = []
+    monkeypatch.setattr(experiments, "simulate_run", lambda *args: runs.append(args))
+    out_dir = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"'rate' with full_buffer traffic"):
+        run_sweep(short_config(runs=1, duration_s=0.05), "rate", [1e5, 1e6],
+                  out_dir=str(out_dir))
+    assert runs == []
+    assert not out_dir.exists()
 
 
 def test_sweep_rows_cover_values_times_protocols(tmp_path):

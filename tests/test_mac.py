@@ -125,6 +125,24 @@ def test_enqueue_of_many_queues_the_room_and_drops_the_rest(monkeypatch, before,
     assert st.phase == (WAITING if started else IDLE)
 
 
+@pytest.mark.parametrize("count", [1, 5, 0, -3])
+def test_a_sink_queues_nothing_and_rejects_packets(count):
+    net = single_flow()
+    sink = net.stations[1]
+    assert sink.dst is None
+    assert not sink.queue and list(sink.queue) == []
+    with pytest.raises(ValueError, match="station 1 is a sink"):
+        sink.enqueue_packet(count)
+    assert (sink.enqueued, sink.dropped_full, len(sink.queue)) == (0, 0, 0)
+    assert sink.phase == IDLE
+    assert net.medium._group_of == [None, None]   # nobody contends
+    # a run leaves the sink with nothing queued, though it receives and ACKs
+    net.saturate()
+    net.run(20_000)
+    assert sink.enqueued == 0 and len(sink.queue) == 0
+    assert net.stations[0].delivered > 0
+
+
 def test_full_buffer_start_equals_single_enqueues():
     filled, single = single_flow(trace=True), single_flow(trace=True)
     FullBufferSource(filled.stations[0]).start()

@@ -43,6 +43,16 @@ def test_traffic_spec_floats_must_be_finite(kind, name, value):
         TrafficSpec(kind=kind, **{name: value})
 
 
+def test_sources_keep_no_instance_dict():
+    # a network builds one source per flow: their fields are slots
+    sim = Simulator()
+    pareto = ParetoOnOffSource(CountingStation(sim), TrafficSpec(kind="pareto_on_off"),
+                               substream(1, 0, "traffic"))
+    for source in (FullBufferSource(CountingStation(sim)), pareto):
+        with pytest.raises(TypeError):
+            vars(source)
+
+
 def test_full_buffer_fills_queue_to_capacity_at_start():
     net = Network([(0.0, 0.0), (100.0, 0.0)], [(0, 1)])
     FullBufferSource(net.stations[0]).start()
