@@ -160,14 +160,14 @@ def parse_config(source):
 
 
 def load_config(path):
-    """Build a ScenarioConfig from the UTF-8 config file at ``path``."""
+    """Build a ScenarioConfig from the UTF-8 config file at ``path``, less a leading BOM."""
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(
                 f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
-    return parse_config(text)
+    return parse_config(text.removeprefix("\ufeff"))
 
 
 # -- topology --------------------------------------------------------------
@@ -285,7 +285,7 @@ class Network:
 
         The pending events, the medium's station table, DATA hook (holding the
         medium's ``withdraw_access``) and frame-end events, and each station's source
-        and ACK events tie the run's objects into cycles only a ``gc`` pass frees.
+        tie the run's objects into cycles only a ``gc`` pass frees.
         The station and medium counters, the queues and the trace stay
         readable.  The pending events are dropped, so a closed network must
         not be run again: ``run`` raises.  Closing twice is harmless.

@@ -11,27 +11,23 @@ class MacFrame:
 
     ``privileged`` and ``q_len`` are the scheduling fields carried in data
     headers by the token MAC; plain DCF data frames and all ACKs leave
-    ``privileged`` as None.
+    ``privileged`` as None.  The payload size is the sending station's.
     """
 
-    __slots__ = ("kind", "src", "dst", "payload_bytes", "privileged", "q_len")
+    __slots__ = ("kind", "src", "dst", "privileged", "q_len")
 
-    def __init__(self, kind, src, dst, payload_bytes=0, privileged=None, q_len=0):
-        if kind == DATA and payload_bytes <= 0:
-            raise ValueError("data frames need a positive payload")
+    def __init__(self, kind, src, dst, privileged=None, q_len=0):
         if kind == ACK and privileged is not None:
             raise ValueError("ack frames carry no scheduling fields")
         self.kind = kind
         self.src = src
         self.dst = dst
-        self.payload_bytes = payload_bytes
         self.privileged = privileged
         self.q_len = q_len
 
     def __repr__(self):
         return (
             f"MacFrame({KIND_NAMES[self.kind]}, src={self.src}, dst={self.dst}, "
-            f"payload={self.payload_bytes}, "
             f"privileged={self.privileged}, q_len={self.q_len})"
         )
 

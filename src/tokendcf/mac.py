@@ -4,9 +4,10 @@ A station with a traffic source contends for the channel with DIFS + uniform
 backoff in [0, CW], freezes the countdown while the channel is busy, and runs
 the DATA/ACK exchange with binary exponential backoff on ACK timeout.  The
 timeout is scheduled, ``ack_timeout_us`` after the DATA frame's end, only
-once the ACK is known to be lost (``ack_lost``): the DATA frame missed its
-addressee, the addressee was transmitting when its ACK was due
-(half-duplex), or the ACK missed the station.  So every timeout acts.  A
+once the ACK is known to be lost: the DATA frame missed its addressee
+(``on_tx_complete(False)``), or the medium calls ``ack_lost`` because the
+addressee was transmitting when its ACK was due (half-duplex) or the ACK
+missed the station.  So every timeout acts, and no station calls another.  A
 decoded frame reaches a station by two routes: the medium hands ``on_frame``
 only the frames addressed to it, and a token scheduler takes, besides its
 station's own DATA headers, every decoded one, addressed or overheard, from
@@ -21,7 +22,7 @@ another station.
 
 A station has at most one frame on the air, so it reuses its frames, built at
 first use: one DATA frame, whose scheduling fields the token layer rewrites at
-each transmission, and per peer one ACK frame in a pre-bound ``_send_ack`` event.
+each transmission, and per peer one ACK frame, bound into its ACK event.
 
 A sink, a station without a destination, only receives and ACKs: its
 ``queue`` is an empty tuple, not a deque, and ``enqueue_packet`` on it
@@ -55,6 +56,8 @@ class Station:
 
     def __init__(self, sid, sim, medium, mac,
                  rng=None, dst=None, payload_bytes=0, scheduler=None):
+        if dst is not None and payload_bytes <= 0:
+            raise ValueError(f"station {sid}: data frames need a positive payload")
         self.sid = sid
         self.sim = sim
         self.medium = medium
@@ -73,7 +76,7 @@ class Station:
         self.sifs_plan = False
         self._ack_due = None        # when the pending ACK timeout is due, while unscheduled
         self._data = None           # the DATA frame, reused for every transmission
-        self._acks = None           # peer -> its ACK event, partial(_send_ack, ACK frame)
+        self._acks = None           # peer -> its ACK event, partial(begin_transmission, ...)
         self.enqueued = 0
         self.delivered = 0
         self.dropped_full = 0
@@ -89,9 +92,8 @@ class Station:
         self.ack_timeout_us = self.phy.sifs + self.ack_airtime + mac.ack_timeout_guard
 
     def close(self):
-        """Break the cycles through this station's source and its ACK events, which hold it."""
+        """Break the cycle through this station's source, which holds it."""
         self.source = None
-        self._acks = None
 
     # -- queueing ----------------------------------------------------------
 
@@ -160,22 +162,18 @@ class Station:
         """
         frame = self._data
         if frame is None:
-            frame = self._data = MacFrame(DATA, self.sid, self.dst, self.payload_bytes)
+            frame = self._data = MacFrame(DATA, self.sid, self.dst)
         if self.scheduler is not None:
             self.scheduler.on_transmit_data(frame, len(self.queue))
         self.attempts += 1
         self.medium.begin_transmission(self.sid, frame, self.data_airtime)
 
-    def on_tx_complete(self, frame, delivered):
-        """This station's frame left the air; ``delivered``: its addressee decoded it."""
-        if frame.kind == DATA:
-            self.phase = AWAIT_ACK
-            self._ack_due = self.sim.now + self.ack_timeout_us
-            if not delivered:
-                self.ack_lost()
-        elif not delivered:
-            # the station awaiting this ACK will not get it
-            self.medium.stations[frame.dst].ack_lost()
+    def on_tx_complete(self, delivered):
+        """This station's DATA frame left the air; ``delivered``: its addressee decoded it."""
+        self.phase = AWAIT_ACK
+        self._ack_due = self.sim.now + self.ack_timeout_us
+        if not delivered:
+            self.ack_lost()
 
     def ack_lost(self):
         """The pending exchange's ACK will not arrive: schedule its timeout, once per exchange."""
@@ -202,17 +200,10 @@ class Station:
         send = acks.get(frame.src)
         if send is None:
             send = acks[frame.src] = partial(
-                self._send_ack, MacFrame(ACK, self.sid, frame.src))
+                self.medium.begin_transmission, self.sid,
+                MacFrame(ACK, self.sid, frame.src), self.ack_airtime)
             self._acks = acks
         self.sim.schedule(self.phy.sifs, send)
-
-    def _send_ack(self, ack):
-        # ``phase`` tracks the station's own data and is left alone here: a
-        # station that sends and receives may be waiting or awaiting its ACK
-        if self.medium.is_transmitting(self.sid):   # half-duplex guard
-            self.medium.stations[ack.dst].ack_lost()
-            return
-        self.medium.begin_transmission(self.sid, ack, self.ack_airtime)
 
     def _ack_received(self):
         self._ack_due = None

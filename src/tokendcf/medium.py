@@ -9,8 +9,10 @@ reaches stations by two routes only: the addressed station's ``on_frame``,
 which takes no other station's frames, then, for DATA, the ``on_data`` hook
 that ``listen(listeners, hook)`` installs with its listener mask, called once
 with the mask of every listener that decoded the frame, addressed or not.
-Last, the source's ``on_tx_complete(frame, delivered)`` learns whether the
-addressed station decoded the frame.
+Last, a DATA frame's source learns from ``on_tx_complete(delivered)``
+whether the addressee decoded it.  The medium alone decides that an ACK is
+lost and calls ``ack_lost()`` on the station awaiting it: when the ACK
+ends undecoded there, or when its source is on the air (half-duplex).
 
 Neighbour sets are int bit masks.  Bit b of tx_mask[a] is set exactly
 when b lies within tx_range of a (a itself excluded), and bit b of
@@ -281,11 +283,6 @@ class Medium:
         self._listen = listeners
         self.on_data = hook
 
-    # -- sensing ----------------------------------------------------------
-
-    def is_transmitting(self, sid):
-        return sid in self._active
-
     # -- contention clock --------------------------------------------------
 
     def contend(self, sid):
@@ -420,9 +417,16 @@ class Medium:
     # -- transmissions -----------------------------------------------------
 
     def begin_transmission(self, src, frame, airtime):
-        """Put ``frame`` on the air from ``src`` for ``airtime`` µs."""
+        """Put ``frame`` on the air from ``src`` for ``airtime`` µs.
+
+        An ACK from a source on the air is lost (half-duplex): it does not
+        air, and the medium calls its addressee's ``ack_lost()`` instead.
+        """
         if src in self._active:
-            raise MediumError(f"station {src} is already transmitting")
+            if frame.kind == 0:
+                raise MediumError(f"station {src} is already transmitting")
+            self.stations[frame.dst].ack_lost()
+            return
         if airtime <= 0:
             raise MediumError("airtime must be positive")
         now = self.sim.now
@@ -498,6 +502,9 @@ class Medium:
             self.trace.append((now, "end", src, frame.kind,
                                decoded & (listened | 1 << dst), heard & tx.spoil))
 
-        stations[src].on_tx_complete(frame, delivered)
+        if frame.kind == 0:
+            stations[src].on_tx_complete(delivered)
+        elif not delivered:   # the station awaiting this ACK will not get it
+            stations[dst].ack_lost()
         for group in newly_idle:
             self._resume(group)

@@ -45,8 +45,8 @@ class Recorder:
     def on_frame(self, frame):
         self.events.append((self.sim.now, "frame", frame))
 
-    def on_tx_complete(self, frame, delivered):
-        self.events.append((self.sim.now, "tx_complete", (frame, bool(delivered))))
+    def on_tx_complete(self, delivered):
+        self.events.append((self.sim.now, "tx_complete", bool(delivered)))
 
     def ack_lost(self):
         self.events.append((self.sim.now, "ack_lost", None))

@@ -65,6 +65,19 @@ def test_config_not_utf8_reports_error(tmp_path, capsys):
     assert "config error" in err and "utf16.ini" in err and "UTF-8" in err
 
 
+def test_config_with_byte_order_mark_parses(tmp_path, capsys):
+    # some editors start a UTF-8 file with a byte-order mark
+    text = "[experiment]\nprotocol = dcf\nn_transmitters = 7\n"
+    plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    config = experiments.load_config(marked)
+    assert config == experiments.load_config(plain)
+    assert (config.protocol, config.n_transmitters) == ("dcf", 7)
+    assert main(["validate", "--config", str(marked)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_missing_config_file_reports_error(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.ini")]) == 2
     assert "config error" in capsys.readouterr().err

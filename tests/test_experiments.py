@@ -344,7 +344,7 @@ def test_close_with_work_in_flight_leaves_no_cyclic_garbage(protocol, pending):
     with gc_off():
         net = PlacedNetwork(THREE, [(0, 1), (2, 1)], protocol=protocol).saturate()
         net.run(horizon)
-        assert net.medium.is_transmitting(src) == (pending == "data_on_air")
+        assert (src in net.medium._active) == (pending == "data_on_air")
         net.close()
         alive = weakref.ref(net), weakref.ref(net.medium)
         del net

@@ -31,7 +31,7 @@ from pathlib import Path
 import pytest
 
 import tokendcf.token
-from tokendcf import (MacParams, Medium, ScenarioConfig, Simulation, Station,
+from tokendcf import (ACK, MacParams, Medium, ScenarioConfig, Simulation,
                       TokenParams, TrafficSpec, derive_seed)
 
 from conftest import Network, read_frames
@@ -172,18 +172,18 @@ def case_digest(runs, reached):
 def results():
     """name -> (digest, Counter of the paths it reached), for every entry of PINNED.
 
-    In the corpus, the MAC's half-duplex ACK guard, ``Medium.withdraw_access``
+    In the corpus, the medium's half-duplex ACK loss, ``Medium.withdraw_access``
     (only the calls that take a heap entry: the rest are no-ops) and the Adapt
     step are counted too, by wrappers that call the originals unchanged.
     """
     reached = Counter()
-    send_ack, withdraw, apply_header = (Station._send_ack, Medium.withdraw_access,
-                                        tokendcf.token.apply_header)
+    begin, withdraw, apply_header = (Medium.begin_transmission, Medium.withdraw_access,
+                                     tokendcf.token.apply_header)
 
-    def counted_send_ack(st, ack):
-        if st.medium.is_transmitting(st.sid):
+    def counted_begin(medium, src, frame, airtime):
+        if frame.kind == ACK and src in medium._active:
             reached["half-duplex ACK loss"] += 1
-        send_ack(st, ack)
+        begin(medium, src, frame, airtime)
 
     def counted_withdraw(medium, sid):
         group = medium._group_of[sid]
@@ -207,7 +207,7 @@ def results():
 
     run(_cases())
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Station, "_send_ack", counted_send_ack)
+        mp.setattr(Medium, "begin_transmission", counted_begin)
         mp.setattr(Medium, "withdraw_access", counted_withdraw)
         mp.setattr(tokendcf.token, "apply_header", counted_apply_header)
         run(_corpus())
@@ -618,7 +618,7 @@ def test_two_way_flows_all_deliver(results):
 def test_corpus_reaches_the_paths_the_golden_cases_miss(results):
     # the golden cases, all at default MAC and token parameters, drop no
     # packet on a full queue or at a retry limit below 7, and their sinks
-    # send no DATA, so none hits the half-duplex ACK guard; they withdraw
+    # send no DATA, so none loses an ACK to half-duplex; they withdraw
     # grants, but only at defaults
     reached = Counter()
     for name, (_digest, paths) in results.items():

@@ -62,7 +62,7 @@ def join_at(net, sid, t, *slots):
 
 def noise_at(net, t, airtime, privileged=None):
     """A data frame from station 4 to itself: busy channel, no ACK."""
-    frame = MacFrame(DATA, 4, 4, payload_bytes=1, privileged=privileged, q_len=1)
+    frame = MacFrame(DATA, 4, 4, privileged=privileged, q_len=1)
     net.sim.schedule(t, lambda: net.medium.begin_transmission(4, frame, airtime))
 
 
@@ -123,6 +123,16 @@ def test_enqueue_of_many_queues_the_room_and_drops_the_rest(monkeypatch, before,
     assert st.rng.bounds == ([MacParams().cw_min] if started else [])
     assert planned == ([0] if started else [])
     assert st.phase == (WAITING if started else IDLE)
+
+
+def test_data_frame_requires_positive_payload():
+    # a station with a destination sends DATA: it is refused when it is
+    # built, not at its first access; a sink needs no payload
+    net = single_flow()
+    for payload in (0, -1):
+        with pytest.raises(ValueError, match="station 0: data frames need a positive payload"):
+            Station(0, net.sim, net.medium, MacParams(), dst=1, payload_bytes=payload)
+        assert Station(1, net.sim, net.medium, MacParams(), payload_bytes=payload).dst is None
 
 
 @pytest.mark.parametrize("count", [1, 5, 0, -3])
@@ -563,7 +573,7 @@ def test_on_frame_takes_addressed_frames_and_access_fires_with_a_packet(monkeypa
         # asked only while the station waits with a packet, off the air;
         # a SIFS wait exactly while its scheduler's flag is set
         assert st.phase == WAITING and st.queue, st.sid
-        assert not st.medium.is_transmitting(st.sid), st.sid
+        assert st.sid not in st.medium._active, st.sid
         result = plan(st, slots)
         sifs = st.scheduler is not None and st.scheduler.flag
         assert (result is None) == sifs, st.sid

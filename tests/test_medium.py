@@ -24,8 +24,8 @@ def make_medium(positions):
     return sim, medium, recorders
 
 
-def data(src, dst, payload=500):
-    return MacFrame(DATA, src, dst, payload_bytes=payload)
+def data(src, dst):
+    return MacFrame(DATA, src, dst)
 
 
 def frames_at(recorder):
@@ -479,17 +479,17 @@ def test_zero_airtime_refused():
     _sim, medium, _ = make_medium([(0.0, 0.0), (100.0, 0.0)])
     with pytest.raises(MediumError, match="airtime"):
         medium.begin_transmission(0, data(0, 1), 0)
-    assert not medium.is_transmitting(0)
+    assert 0 not in medium._active
 
 
-# what the medium calls on a station, and ``ack_lost``, which the station
-# that was to send an ACK calls on the one awaiting it
+# what the medium calls on a station: ``on_tx_complete`` for its own DATA
+# frames, ``ack_lost`` when the ACK it awaits will not arrive
 STATION_CALLBACKS = ("ack_lost", "fire_access", "on_frame", "on_tx_complete", "plan")
 
 
 def test_recorder_stub_has_the_station_callbacks():
-    # the stub stands in for Station wherever the medium or a peer calls
-    # back, so it has exactly Station's callbacks, with the same parameters
+    # the stub stands in for Station wherever the medium calls back, so it
+    # has exactly Station's callbacks, with the same parameters
     assert {name for name in vars(Recorder) if not name.startswith("_")} == set(STATION_CALLBACKS)
     for name in STATION_CALLBACKS:
         assert inspect.signature(getattr(Recorder, name)) == \
@@ -632,13 +632,14 @@ def test_reused_record_starts_each_frame_clean():
     assert sent == [(0, (1, 2), ()), (200, (), (1,))]
 
 
-def tx_completes(recorder):
-    """(time, frame, delivered) of each ``on_tx_complete`` a recorder station got."""
-    return [(t, *info) for t, kind, info in recorder.events if kind == "tx_complete"]
+def outcomes(recorder):
+    """(time, kind, info) of each ``on_tx_complete`` and ``ack_lost`` a recorder got."""
+    return [event for event in recorder.events if event[1] in ("tx_complete", "ack_lost")]
 
 
 def test_tx_complete_says_whether_the_addressee_decoded_the_frame():
-    # 0 -> 1 clean; 0 -> 2 beyond tx range; then 0 -> 1 and 3 -> 1 collide
+    # 0 -> 1 clean; 0 -> 2 beyond tx range; then 0 -> 1 and 3 -> 1 collide;
+    # then 1 ACKs 0 cleanly, and 3's ACK to 0 is spoiled there by 2's frame
     sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0), (300.0, 0.0),
                                           (150.0, 0.0)])
     clean, far, spoiled, other = data(0, 1), data(0, 2), data(0, 1), data(3, 1)
@@ -646,22 +647,35 @@ def test_tx_complete_says_whether_the_addressee_decoded_the_frame():
     sim.schedule(100, lambda: medium.begin_transmission(0, far, 96))
     sim.schedule(300, lambda: medium.begin_transmission(0, spoiled, 96))
     sim.schedule(350, lambda: medium.begin_transmission(3, other, 96))
-    ack = MacFrame(ACK, 1, 0)
+    ack, lost = MacFrame(ACK, 1, 0), MacFrame(ACK, 3, 0)
     sim.schedule(600, lambda: medium.begin_transmission(1, ack, 19))
-    sim.run_until(700)
-    assert tx_completes(recorders[0]) == [(96, clean, True), (196, far, False),
-                                          (396, spoiled, False)]
-    assert tx_completes(recorders[3]) == [(446, other, False)]
-    assert tx_completes(recorders[1]) == [(619, ack, True)]
-    # the medium reports delivery; it tells no station that an ACK is lost
-    assert not any(kind == "ack_lost" for rec in recorders for _, kind, _ in rec.events)
+    sim.schedule(700, lambda: medium.begin_transmission(3, lost, 19))
+    sim.schedule(705, lambda: medium.begin_transmission(2, data(2, 2), 96))
+    sim.run_until(900)
+    # only DATA sources learn whether their frame was delivered
+    assert outcomes(recorders[0]) == [(96, "tx_complete", True), (196, "tx_complete", False),
+                                      (396, "tx_complete", False), (719, "ack_lost", None)]
+    assert outcomes(recorders[3]) == [(446, "tx_complete", False)]
+    assert outcomes(recorders[2]) == [(801, "tx_complete", False)]
+    assert outcomes(recorders[1]) == []
+    # a delivered ACK reaches only its addressee's on_frame; a spoiled one
+    # makes the medium call the addressee's ack_lost as it ends
+    assert frames_at(recorders[0]) == [ack]
+    assert ack not in frames_at(recorders[2]) + frames_at(recorders[3])
 
 
 def test_duplicate_transmission_rejected():
-    _, medium, _ = make_medium([(0.0, 0.0), (100.0, 0.0)])
+    sim, medium, recorders = make_medium([(0.0, 0.0), (100.0, 0.0)])
     medium.begin_transmission(0, data(0, 1), 96)
     with pytest.raises(MediumError):
         medium.begin_transmission(0, data(0, 1), 96)
+    # an ACK from a source on the air is lost (half-duplex): it does not
+    # air, and the medium tells its addressee at once
+    pending, records = len(sim._heap), len(medium.trace)
+    medium.begin_transmission(0, MacFrame(ACK, 0, 1), 19)
+    assert (len(sim._heap), len(medium.trace)) == (pending, records)
+    assert recorders[1].events == [(0, "ack_lost", None)]
+    assert recorders[0].events == []
 
 
 def test_addressed_frame_dispatched_to_receiver_mac():

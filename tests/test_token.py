@@ -22,8 +22,7 @@ def make_sched(sid=0, params=None, seed=1):
 
 
 def data(src, dst=99, privileged=None, q_len=0):
-    return MacFrame(DATA, src, dst, payload_bytes=500,
-                    privileged=privileged, q_len=q_len)
+    return MacFrame(DATA, src, dst, privileged=privileged, q_len=q_len)
 
 
 def receive(sched, frame, withdraw=lambda sid: None):
@@ -272,10 +271,10 @@ def test_reused_data_frame_carries_its_own_header(monkeypatch, protocol):
         on_transmit_data(sched, frame, own_queue_len)
         written.setdefault(frame.src, []).append((frame, frame.privileged, frame.q_len))
 
-    def end(st, frame, delivered):
-        if frame.kind == DATA:
-            ended.setdefault(frame.src, []).append((frame, frame.privileged, frame.q_len))
-        on_tx_complete(st, frame, delivered)
+    def end(st, delivered):
+        frame = st._data
+        ended.setdefault(frame.src, []).append((frame, frame.privileged, frame.q_len))
+        on_tx_complete(st, delivered)
 
     on_tx_complete = Station.on_tx_complete
     monkeypatch.setattr(TokenScheduler, "on_transmit_data", write)
